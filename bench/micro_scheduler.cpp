@@ -210,20 +210,6 @@ BENCHMARK(BM_GreedyBuildWarm)
     ->Args({128, 1024})
     ->Unit(benchmark::kMillisecond);
 
-// Speculative bisection: K packing probes per round on K threads.
-void BM_GreedyBuildParallelProbes(benchmark::State& state) {
-  const auto instance = make_instance(36, 300);
-  core::GreedyScheduler::Options options;
-  options.parallel_probes = static_cast<std::size_t>(state.range(0));
-  const core::GreedyScheduler scheduler(options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        scheduler.build(instance.jobs, instance.phones, instance.prediction));
-  }
-  state.SetLabel("36 phones, 300 jobs, " + std::to_string(state.range(0)) + " probes");
-}
-BENCHMARK(BM_GreedyBuildParallelProbes)->Arg(4)->Unit(benchmark::kMillisecond);
-
 // Hierarchical pod packing at fleet sizes where the flat build falls off a
 // cliff (512/2048 flat ≈ seconds). Pods are auto-sized (~128 phones each)
 // and packed on worker threads; the 4096/16384 tier is the 10k-class

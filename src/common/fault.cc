@@ -25,6 +25,22 @@ constexpr const char* kPointNames[kFaultPointCount] = {
   throw std::invalid_argument("fault spec: " + why + " in rule \"" + rule + "\"");
 }
 
+/// The whole of `text` as a number: std::stod/std::stoll alone stop at the
+/// first bad character and would read "0.5x" as 0.5.
+double whole_double(const std::string& text) {
+  std::size_t used = 0;
+  const double value = std::stod(text, &used);
+  if (used != text.size()) throw std::invalid_argument("trailing characters");
+  return value;
+}
+
+long long whole_int(const std::string& text) {
+  std::size_t used = 0;
+  const long long value = std::stoll(text, &used);
+  if (used != text.size()) throw std::invalid_argument("trailing characters");
+  return value;
+}
+
 std::vector<std::string> split_on(const std::string& text, char sep) {
   std::vector<std::string> parts;
   std::size_t begin = 0;
@@ -53,11 +69,12 @@ FaultAction parse_action(const std::string& rule, const std::string& text) {
   } else if (text.rfind("delay(", 0) == 0 && text.back() == ')') {
     action.kind = FaultAction::Kind::kDelay;
     try {
-      action.delay_ms = std::stod(text.substr(6, text.size() - 7));
+      action.delay_ms = whole_double(text.substr(6, text.size() - 7));
     } catch (const std::exception&) {
       spec_error(rule, "bad delay milliseconds");
     }
     if (!(action.delay_ms >= 0.0)) spec_error(rule, "negative delay");
+    if (!std::isfinite(action.delay_ms)) spec_error(rule, "delay must be finite");
   } else {
     spec_error(rule, "unknown action \"" + text + "\"");
   }
@@ -73,27 +90,27 @@ void parse_trigger(const std::string& rule, const std::string& text, FaultRule& 
   try {
     if (key == "p") {
       if (mode_set) spec_error(rule, "more than one trigger mode");
-      out.probability = std::stod(value);
-      if (out.probability <= 0.0 || out.probability > 1.0) {
+      out.probability = whole_double(value);
+      if (!(out.probability > 0.0 && out.probability <= 1.0)) {
         spec_error(rule, "probability must be in (0, 1]");
       }
       mode_set = true;
     } else if (key == "n") {
       if (mode_set) spec_error(rule, "more than one trigger mode");
       for (const std::string& index : split_on(value, ',')) {
-        const long long hit = std::stoll(index);
+        const long long hit = whole_int(index);
         if (hit <= 0) spec_error(rule, "hit indices are 1-based");
         out.hits.push_back(static_cast<std::uint64_t>(hit));
       }
       mode_set = true;
     } else if (key == "every") {
       if (mode_set) spec_error(rule, "more than one trigger mode");
-      const long long every = std::stoll(value);
+      const long long every = whole_int(value);
       if (every <= 0) spec_error(rule, "every= must be positive");
       out.every = static_cast<std::uint64_t>(every);
       mode_set = true;
     } else if (key == "limit") {
-      const long long limit = std::stoll(value);
+      const long long limit = whole_int(value);
       if (limit <= 0) spec_error(rule, "limit= must be positive");
       out.max_fires = static_cast<std::uint64_t>(limit);
     } else {

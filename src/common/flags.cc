@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/strings.h"
@@ -36,23 +37,27 @@ std::string Flags::get(const std::string& name, const std::string& fallback) con
 long long Flags::get_int(const std::string& name, long long fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  std::size_t consumed = 0;
-  const long long value = std::stoll(it->second, &consumed);
-  if (consumed != it->second.size()) {
-    throw std::invalid_argument("flag --" + name + ": not an integer: " + it->second);
+  try {
+    std::size_t consumed = 0;
+    const long long value = std::stoll(it->second, &consumed);
+    if (consumed == it->second.size()) return value;
+  } catch (const std::exception&) {
+    // no digits, or out of range for a 64-bit integer
   }
-  return value;
+  throw std::invalid_argument("flag --" + name + ": not an integer: " + it->second);
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  std::size_t consumed = 0;
-  const double value = std::stod(it->second, &consumed);
-  if (consumed != it->second.size()) {
-    throw std::invalid_argument("flag --" + name + ": not a number: " + it->second);
+  try {
+    std::size_t consumed = 0;
+    const double value = std::stod(it->second, &consumed);
+    if (consumed == it->second.size() && std::isfinite(value)) return value;
+  } catch (const std::exception&) {
+    // no digits, or out of range for a double
   }
-  return value;
+  throw std::invalid_argument("flag --" + name + ": not a finite number: " + it->second);
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {

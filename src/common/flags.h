@@ -21,9 +21,11 @@ class Flags {
 
   /// String value; `fallback` when absent.
   std::string get(const std::string& name, const std::string& fallback = {}) const;
-  /// Integer value; throws std::invalid_argument on malformed input.
+  /// Integer value; throws std::invalid_argument naming the flag on
+  /// malformed or out-of-range input.
   long long get_int(const std::string& name, long long fallback) const;
-  /// Double value; throws std::invalid_argument on malformed input.
+  /// Finite double value; throws std::invalid_argument naming the flag on
+  /// malformed, out-of-range or non-finite input.
   double get_double(const std::string& name, double fallback) const;
   /// Bool: bare flag or explicit true/false/1/0.
   bool get_bool(const std::string& name, bool fallback = false) const;

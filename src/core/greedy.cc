@@ -223,9 +223,9 @@ std::optional<Schedule> GreedyScheduler::pack_attempt(const PackProblem& problem
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(action.delay_ms));
   }
   // Every packing attempt funnels through here — warm starts, defensive UB
-  // growth, sequential bisection, and the parallel probe rounds (which run
-  // on worker threads; the recorder is thread-safe). One trace event per
-  // attempt shows how the capacity search converged.
+  // growth and bisection (pod packing calls it from worker threads; the
+  // recorder is thread-safe). One trace event per attempt shows how the
+  // capacity search converged.
   struct ProbeTrace {
     Millis capacity;
     bool feasible = false;
@@ -507,51 +507,15 @@ Schedule GreedyScheduler::build_with_hint(const std::vector<JobSpec>& jobs,
     if (!best) throw std::runtime_error("GreedyScheduler: no feasible packing found");
   }
 
-  const std::size_t probes =
-      options_.parallel_probes > 1 ? std::min<std::size_t>(options_.parallel_probes, 8) : 0;
   std::size_t bisections = 0;
   for (std::size_t iter = 0;
        iter < options_.max_bisections && (ub - lb) > options_.capacity_tolerance * ub; ++iter) {
-    if (probes != 0) {
-      // Speculative round: K capacities split the bracket into K + 1 equal
-      // parts and pack concurrently. Feasibility is monotone (the bisection
-      // invariant), so the lowest feasible probe is the new upper bound and
-      // the probe just below it the new lower bound — deterministic, since
-      // the capacities are fixed before any thread runs.
-      std::vector<Millis> caps(probes);
-      for (std::size_t k = 0; k < probes; ++k) {
-        caps[k] = lb + (ub - lb) * static_cast<double>(k + 1) / static_cast<double>(probes + 1);
-      }
-      std::vector<std::optional<Schedule>> results(probes);
-      std::vector<std::thread> workers;
-      workers.reserve(probes);
-      for (std::size_t k = 0; k < probes; ++k) {
-        workers.emplace_back([&, k] { results[k] = pack_with_capacity(problem, caps[k]); });
-      }
-      for (std::thread& w : workers) w.join();
-
-      std::size_t first_feasible = probes;
-      for (std::size_t k = 0; k < probes; ++k) {
-        if (results[k]) {
-          first_feasible = k;
-          break;
-        }
-      }
-      if (first_feasible == probes) {
-        lb = caps[probes - 1];
-      } else {
-        best = std::move(results[first_feasible]);
-        ub = caps[first_feasible];
-        if (first_feasible > 0) lb = caps[first_feasible - 1];
-      }
+    const Millis mid = (lb + ub) / 2.0;
+    if (auto packed = pack_with_capacity(problem, mid)) {
+      best = std::move(packed);
+      ub = mid;
     } else {
-      const Millis mid = (lb + ub) / 2.0;
-      if (auto packed = pack_with_capacity(problem, mid)) {
-        best = std::move(packed);
-        ub = mid;
-      } else {
-        lb = mid;
-      }
+      lb = mid;
     }
     bisections = iter + 1;
   }

@@ -51,13 +51,6 @@ class GreedyScheduler final : public Scheduler {
     /// hint * warm_start_shrink tightens the bracket to [shrunk, hint] so
     /// steady-state reschedules converge in a handful of bisections.
     double warm_start_shrink = 0.9;
-    /// Speculative packings per bisection round (0 or 1 = plain sequential
-    /// bisection, the default). K probes split the bracket into K + 1 equal
-    /// parts and pack concurrently on K transient threads, shrinking the
-    /// bracket (K + 1)x per round. Probe capacities are fixed before the
-    /// round starts, so the outcome is deterministic regardless of thread
-    /// timing; each thread only reads the shared PackProblem.
-    std::size_t parallel_probes = 0;
   };
 
   GreedyScheduler() : options_(Options{}) {}

@@ -28,7 +28,7 @@ constexpr Millis kInfCap = std::numeric_limits<Millis>::infinity();
 /// indices from a shared atomic counter. Deterministic as long as fn(i)
 /// writes only slot i — which every call site here guarantees; all
 /// cross-slot decisions happen on the calling thread afterwards, in index
-/// order (the same discipline as the flat packer's parallel_probes).
+/// order.
 void run_indexed(std::size_t workers, std::size_t count,
                  const std::function<void(std::size_t)>& fn) {
   if (workers <= 1 || count <= 1) {

@@ -31,8 +31,7 @@
 // worker thread runs, workers write only their own pod's slot, and every
 // cross-pod decision (job shares, rebalance order, bin choice) is made on
 // the main thread in index order — so two same-seed builds are
-// byte-identical regardless of thread timing, exactly like the flat
-// packer's parallel_probes machinery. The differential suite
+// byte-identical regardless of thread timing. The differential suite
 // (tests/core/pod_packing_diff_test.cc) pins this packer against the flat
 // reference on hundreds of seeded instances.
 #pragma once

@@ -103,17 +103,23 @@ TimerId EventLoop::every(Millis period_ms, std::function<void()> callback) {
   state->period_ms = period_ms;
   state->callback = std::move(callback);
   const TimerId handle = next_repeat_handle_++;
-  // The arming closure re-schedules itself after each fire — unless the
-  // callback cancelled its own handle, which removes it from repeats_.
-  auto arm = std::make_shared<std::function<void()>>();
-  *arm = [this, state, handle, arm] {
-    state->callback();
-    if (repeats_.count(handle) == 0) return;  // cancelled from inside
-    state->current = wheel_.schedule(state->period_ms, *arm);
-  };
-  state->current = wheel_.schedule(period_ms, *arm);
-  repeats_[handle] = state;
+  repeats_[handle] = std::move(state);
+  arm_repeat(handle);
   return handle;
+}
+
+void EventLoop::arm_repeat(TimerId handle) {
+  // The wheel entry names the repeat by handle only, so cancel() — which
+  // erases the handle's state — frees the callback and all it captured.
+  RepeatState& state = *repeats_.at(handle);
+  state.current = wheel_.schedule(state.period_ms, [this, handle] {
+    const auto it = repeats_.find(handle);
+    if (it == repeats_.end()) return;
+    // Held across the call: the callback may cancel its own handle.
+    const std::shared_ptr<RepeatState> repeat = it->second;
+    repeat->callback();
+    if (repeats_.count(handle) != 0) arm_repeat(handle);
+  });
 }
 
 bool EventLoop::cancel(TimerId id) {

@@ -86,6 +86,8 @@ class EventLoop {
  private:
   struct RepeatState;
 
+  /// Schedules the next firing of the repeating timer `handle`.
+  void arm_repeat(TimerId handle);
   void ensure_anchor();
   std::size_t wait_and_dispatch(int timeout_ms);
   std::size_t dispatch_poll(int timeout_ms);

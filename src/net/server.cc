@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -35,6 +36,15 @@ CwcServer::CwcServer(std::unique_ptr<core::Scheduler> scheduler,
                      core::PredictionModel prediction, const tasks::TaskRegistry* registry,
                      ServerConfig config)
     : controller_(std::move(scheduler), std::move(prediction), config.health),
+      lifecycle_(controller_, config.speculation,
+                 {[this](PhoneId id) {
+                    const Connection* c = find_connection(id);
+                    return c != nullptr && c->ready && !c->probing;
+                  },
+                  [this](PhoneId backup, PhoneId primary, const core::Attempt& attempt) {
+                    return ship_backup(backup, primary, attempt);
+                  },
+                  [this](PhoneId id, const core::Attempt& attempt) { cancel_attempt(id, attempt); }}),
       registry_(registry),
       config_(config),
       listener_(config.port, !config.bind_all_interfaces) {
@@ -70,14 +80,6 @@ CwcServer::CwcServer(std::unique_ptr<core::Scheduler> scheduler,
   obs::counter("net.server.journal_errors");
   obs::counter("net.send_stall_ms");
   set_send_stall_budget_ms(config_.send_stall_budget_ms);
-  // Speculation counters, zero-valued when --speculation is off so the
-  // telemetry smoke check can always assert their presence.
-  obs::counter("spec.launched");
-  obs::counter("spec.wins_primary");
-  obs::counter("spec.wins_backup");
-  obs::counter("spec.cancels_sent");
-  obs::counter("spec.duplicate_completions");
-  obs::counter("spec.aborted");
   // Content-addressed shipping counters, pre-registered so cache-less runs
   // (legacy agents, --chunk-kb 0) export them zero-valued too.
   obs::counter("cache.hit_kb");
@@ -454,7 +456,7 @@ void CwcServer::on_reprobe_due(Connection& c) {
   c.reprobe_timer = kInvalidTimer;
   if (!c.conn.valid() || !c.registered) return;
   now_ms_ = loop_.now_ms();
-  if (c.ready && !c.busy && !c.probing) {
+  if (c.ready && !busy(c) && !c.probing) {
     try {
       start_probe(c);
     } catch (const SocketError&) {
@@ -467,7 +469,7 @@ void CwcServer::on_reprobe_due(Connection& c) {
 }
 
 void CwcServer::maybe_reprobe(Connection& c) {
-  if (!c.reprobe_due || !c.conn.valid() || !c.ready || c.busy || c.probing) return;
+  if (!c.reprobe_due || !c.conn.valid() || !c.ready || busy(c) || c.probing) return;
   c.reprobe_due = false;
   try {
     start_probe(c);
@@ -476,9 +478,8 @@ void CwcServer::maybe_reprobe(Connection& c) {
   }
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> CwcServer::carve_slice(JobState& job,
-                                                                        Kilobytes kb) {
-  std::vector<std::pair<std::size_t, std::size_t>> fragments;
+CwcServer::Fragments CwcServer::carve_slice(JobState& job, Kilobytes kb) {
+  Fragments fragments;
   auto target = static_cast<std::size_t>(kb * 1024.0);
   while (target > 0 && !job.pending_ranges.empty()) {
     auto [begin, end] = job.pending_ranges.front();
@@ -498,7 +499,7 @@ std::vector<std::pair<std::size_t, std::size_t>> CwcServer::carve_slice(JobState
 }
 
 void CwcServer::assign_next_piece(Connection& c) {
-  if (!c.ready || c.busy || c.probing || !c.conn.valid()) return;
+  if (!c.ready || busy(c) || c.probing || !c.conn.valid()) return;
   if (!controller_.is_plugged(c.phone)) return;
   const auto work = controller_.current_work(c.phone);
   if (!work) return;
@@ -507,58 +508,25 @@ void CwcServer::assign_next_piece(Connection& c) {
   if (job_it == jobs_.end()) throw std::logic_error("assignment for unknown job");
   JobState& job = job_it->second;
 
-  AssignPieceMsg msg;
-  msg.job = work->piece.job;
-  msg.piece_seq = ++c.piece_seq;
-  msg.task_name = job.spec.task_name;
-  msg.kind = job.spec.kind;
-  msg.checkpoint = work->checkpoint;
-  if (!work->executable_cached) {
-    msg.executable.assign(static_cast<std::size_t>(job.spec.exec_kb * 1024.0), 0xEE);
-  }
-
-  if (job.spec.kind == JobKind::kAtomic) {
+  const bool atomic = job.spec.kind == JobKind::kAtomic;
+  Fragments whole_input;
+  if (atomic) {
     // Atomic jobs ship whole; a resume checkpoint tells the phone where to
     // continue, and its offset tells us what "processed" means later.
-    msg.input = job.input;
     std::size_t resume_offset = 0;
-    if (!msg.checkpoint.empty()) {
-      BufferReader r(msg.checkpoint);
+    if (!work->checkpoint.empty()) {
+      BufferReader r(work->checkpoint);
       resume_offset = static_cast<std::size_t>(r.read_u64());
     }
     c.piece_fragments = {{resume_offset, job.input.size()}};
+    whole_input = {{0, job.input.size()}};
   } else {
     c.piece_fragments = carve_slice(job, work->piece.input_kb);
-    msg.input.clear();
-    for (const auto& [begin, end] : c.piece_fragments) {
-      msg.input.insert(msg.input.end(), job.input.begin() + static_cast<std::ptrdiff_t>(begin),
-                       job.input.begin() + static_cast<std::ptrdiff_t>(end));
-    }
   }
-  c.piece_job = msg.job;
-  c.piece_identity = work->identity;
-  msg.trace_piece = work->identity.piece;
-  msg.trace_attempt = work->identity.attempt;
-  msg.trace_instant = work->identity.instant;
-  if (chunking_enabled(c)) {
-    // Atomic assignments carry the whole input (fragments only track the
-    // resume offset); breakable ones carry exactly the carved fragments.
-    auto wire_fragments = job.spec.kind == JobKind::kAtomic
-                              ? std::vector<std::pair<std::size_t, std::size_t>>{
-                                    {0, job.input.size()}}
-                              : c.piece_fragments;
-    chunk_assignment(c, msg, job, std::move(wire_fragments));
-  }
-  c.busy = true;
-  c.speculative = false;
-  // Straggler detection inputs: when the assignment left, and how long the
-  // scheduler believed ship+execute would take on this phone.
-  c.piece_started_ms = now_ms_;
-  const core::PhoneSpec& phone_spec = controller_.phone(c.phone);
-  c.piece_predicted_ms = core::completion_time(
-      job.spec, phone_spec, controller_.prediction().predict(job.spec.task_name, phone_spec),
-      work->piece.input_kb, !work->executable_cached);
-  controller_.set_in_flight(c.phone, true);
+  AssignPieceMsg msg = new_assignment(c, job, work->identity, work->executable_cached,
+                                      atomic ? whole_input : c.piece_fragments);
+  msg.checkpoint = work->checkpoint;
+  lifecycle_.start(c.phone, *work, now_ms_, /*rescheduled=*/false);
   // Keep the encoded frame so the retry timer can re-deliver it verbatim
   // (same piece_seq and (piece, attempt) identity → idempotent on the
   // agent side).
@@ -607,15 +575,14 @@ void CwcServer::assign_next_piece(Connection& c) {
 
 bool CwcServer::report_matches_inflight(const Connection& c, std::uint32_t piece_seq,
                                         std::int32_t piece, std::int32_t attempt) const {
-  if (!c.busy || piece_seq != c.piece_seq) return false;
+  const core::Attempt* running = lifecycle_.running(c.phone);
+  if (running == nullptr || piece_seq != c.piece_seq) return false;
   // When the report echoes the assignment identity, require an exact
   // (piece, attempt) match: a duplicate report for an attempt that was
   // already superseded (re-assignment after a retry) must not be banked
   // twice.
-  if (piece >= 0 && (piece != c.piece_identity.piece || attempt != c.piece_identity.attempt)) {
-    return false;
-  }
-  return true;
+  return piece < 0 ||
+         (piece == running->identity.piece && attempt == running->identity.attempt);
 }
 
 CwcServer::Connection* CwcServer::find_connection(PhoneId phone) {
@@ -627,97 +594,29 @@ CwcServer::Connection* CwcServer::find_connection(PhoneId phone) {
   return nullptr;
 }
 
-void CwcServer::cancel_attempt(Connection& loser) {
-  // Clear the in-flight state *before* touching the socket: if the send
-  // fails mid-resolution, drop_connection's lost-handling must not see a
-  // busy connection and return fragments that the winning report is about
-  // to bank (or requeue a piece the winner is about to pop).
-  const CancelPieceMsg cancel{loser.piece_seq, loser.piece_identity.piece,
-                              loser.piece_identity.attempt};
-  const JobId job = loser.piece_job;
-  const core::PieceIdentity identity = loser.piece_identity;
-  loser.busy = false;
-  loser.speculative = false;
-  loser.assign_frame.clear();
-  cancel_assign_retry(loser);
-  if (obs::trace_enabled()) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kPieceCancelled;
-    event.t = obs::trace_now();
-    event.job = job;
-    event.piece = identity.piece;
-    event.attempt = identity.attempt;
-    event.instant = identity.instant;
-    event.phone = loser.phone;
-    obs::trace_record(event);
-  }
+void CwcServer::cancel_attempt(PhoneId phone, const core::Attempt& attempt) {
+  Connection* loser = find_connection(phone);
+  if (loser == nullptr) return;
+  // The engine has already cleared the attempt, so if the send fails
+  // drop_connection's lost-handling cannot return fragments that the
+  // winning report is about to bank.
+  loser->assign_frame.clear();
+  cancel_assign_retry(*loser);
   try {
-    send_frame(loser.conn, encode(cancel));
-    obs::counter("spec.cancels_sent").inc();
+    send_frame(loser->conn, encode(CancelPieceMsg{loser->piece_seq, attempt.identity.piece,
+                                                  attempt.identity.attempt}));
   } catch (const SocketError& e) {
     // The agent will notice the dead socket and reconnect; its stale
-    // report, if any, is arbitrated away by the resolved identity.
-    log_warn("cwc-server") << "cancel send to phone " << loser.phone
-                           << " failed: " << e.what();
-    teardown_connection(loser);
+    // report, if any, is arbitrated away by the engine.
+    log_warn("cwc-server") << "cancel send to phone " << phone << " failed: " << e.what();
+    teardown_connection(*loser);
     return;
   }
-  maybe_reprobe(loser);
+  maybe_reprobe(*loser);
 }
 
-PhoneId CwcServer::resolve_speculation(Connection& winner) {
-  const SpecKey key{winner.piece_identity.piece, winner.piece_identity.attempt};
-  const auto it = active_specs_.find(key);
-  if (it == active_specs_.end()) return winner.phone;
-  const ActiveSpec spec = it->second;
-  active_specs_.erase(it);
-  resolved_specs_.insert(key);
-  const bool backup_won = winner.phone == spec.backup && winner.speculative;
-  obs::counter(backup_won ? "spec.wins_backup" : "spec.wins_primary").inc();
-  if (backup_won) ++speculative_wins_backup_;
-  const PhoneId loser_phone = backup_won ? spec.primary : spec.backup;
-  if (Connection* loser = find_connection(loser_phone);
-      loser && loser->busy && loser->piece_identity.piece == key.first &&
-      loser->piece_identity.attempt == key.second) {
-    cancel_attempt(*loser);
-  }
-  log_info("cwc-server") << "speculation resolved for piece " << key.first << ": phone "
-                         << winner.phone << (backup_won ? " (backup)" : " (original)")
-                         << " won";
-  return spec.primary;
-}
-
-void CwcServer::abort_speculation(Connection& c) {
-  if (!c.busy) return;
-  const SpecKey key{c.piece_identity.piece, c.piece_identity.attempt};
-  const auto it = active_specs_.find(key);
-  if (it == active_specs_.end()) return;
-  const ActiveSpec spec = it->second;
-  if (c.speculative) {
-    // The backup died; the original keeps running untouched.
-    if (c.phone != spec.backup) return;
-    active_specs_.erase(it);
-    obs::counter("spec.aborted").inc();
-  } else {
-    // The original died with a backup in flight. Resolve the identity and
-    // cancel the backup: the failure path banks the original's reported
-    // prefix and requeues the suffix, so a racing full result from the
-    // backup must be dropped as a duplicate, never banked on top.
-    active_specs_.erase(it);
-    resolved_specs_.insert(key);
-    obs::counter("spec.aborted").inc();
-    if (Connection* backup = find_connection(spec.backup);
-        backup && backup->speculative && backup->busy &&
-        backup->piece_identity.piece == key.first &&
-        backup->piece_identity.attempt == key.second) {
-      cancel_attempt(*backup);
-    }
-  }
-}
-
-void CwcServer::maybe_speculate(double now_ms) {
-  if (!config_.speculation.enabled || jobs_.empty()) return;
-
+void CwcServer::maybe_speculate() {
+  if (jobs_.empty()) return;
   // Batch completion fraction over input bytes (recovered already-done
   // jobs live under synthetic negative ids and are excluded — they were
   // finished by a previous process, not this batch).
@@ -733,120 +632,53 @@ void CwcServer::maybe_speculate(double now_ms) {
       done_bytes += size;
     }
   }
-  const double done_fraction = total_bytes > 0.0 ? done_bytes / total_bytes : 1.0;
-
-  // Snapshot the in-flight originals.
-  std::vector<core::InFlightPiece> in_flight;
-  std::vector<Connection*> owners;
-  for (auto& connection : connections_) {
-    Connection& c = *connection;
-    if (!c.conn.valid() || !c.registered || !c.busy || c.speculative) continue;
-    core::InFlightPiece piece;
-    piece.phone = c.phone;
-    piece.piece = c.piece_identity.piece;
-    piece.attempt = c.piece_identity.attempt;
-    piece.elapsed_ms = now_ms - c.piece_started_ms;
-    piece.predicted_ms = c.piece_predicted_ms;
-    piece.breakable = jobs_.at(c.piece_job).spec.kind == JobKind::kBreakable;
-    piece.has_backup = active_specs_.count({piece.piece, piece.attempt}) > 0;
-    in_flight.push_back(piece);
-    owners.push_back(&c);
-  }
-  if (in_flight.empty()) return;
-
-  // Backup candidates: ready, idle, queue-empty, plugged, fully healthy.
-  std::vector<Connection*> idle;
-  for (auto& connection : connections_) {
-    Connection& c = *connection;
-    if (!c.conn.valid() || !c.registered || !c.ready || c.busy || c.probing) continue;
-    if (!controller_.is_plugged(c.phone)) continue;
-    if (controller_.health().state(c.phone) != core::HealthState::kHealthy) continue;
-    if (controller_.current_work(c.phone)) continue;
-    idle.push_back(&c);
-  }
-
-  const auto decisions =
-      core::pieces_to_speculate(config_.speculation, done_fraction, in_flight, idle.size());
-  std::size_t next_idle = 0;
-  for (const core::SpeculationDecision& decision : decisions) {
-    if (next_idle >= idle.size()) break;
-    launch_backup(*owners[decision.index], *idle[next_idle++], decision);
-  }
+  lifecycle_.speculate(now_ms_, total_bytes > 0.0 ? done_bytes / total_bytes : 1.0);
 }
 
-void CwcServer::launch_backup(Connection& primary, Connection& backup,
-                              const core::SpeculationDecision& decision) {
-  JobState& job = jobs_.at(primary.piece_job);
-  AssignPieceMsg msg;
-  msg.job = primary.piece_job;
-  msg.piece_seq = ++backup.piece_seq;
-  msg.task_name = job.spec.task_name;
-  msg.kind = job.spec.kind;
-  if (!controller_.executable_cached(backup.phone, msg.job)) {
-    msg.executable.assign(static_cast<std::size_t>(job.spec.exec_kb * 1024.0), 0xEE);
-  }
+bool CwcServer::ship_backup(PhoneId backup_id, PhoneId primary_id,
+                            const core::Attempt& attempt) {
+  Connection& backup = *find_connection(backup_id);
   // The backup re-executes the primary's exact byte ranges from scratch
-  // (breakable pieces carry no checkpoint), under the same (piece,
-  // attempt) identity so either report settles the same work.
-  for (const auto& [begin, end] : primary.piece_fragments) {
-    msg.input.insert(msg.input.end(), job.input.begin() + static_cast<std::ptrdiff_t>(begin),
-                     job.input.begin() + static_cast<std::ptrdiff_t>(end));
-  }
-  msg.trace_piece = primary.piece_identity.piece;
-  msg.trace_attempt = primary.piece_identity.attempt;
-  msg.trace_instant = primary.piece_identity.instant;
-
-  backup.piece_fragments = primary.piece_fragments;
-  backup.piece_job = primary.piece_job;
-  backup.piece_identity = primary.piece_identity;
-  backup.busy = true;
-  backup.speculative = true;
-  // Predicted cost uses the full slice size (the backup executes it all
-  // even when most bytes come from its cache).
-  const Kilobytes input_kb = static_cast<double>(msg.input.size()) / 1024.0;
-  const bool ships_executable = !msg.executable.empty();
-  // Backups benefit from the chunk cache too: msg.input concatenates the
-  // primary's fragments verbatim, so those ranges describe it on the wire.
-  if (chunking_enabled(backup)) {
-    chunk_assignment(backup, msg, job, primary.piece_fragments);
-  }
-  backup.assign_frame = encode(msg);
+  // (breakable pieces carry no checkpoint).
+  backup.piece_fragments = find_connection(primary_id)->piece_fragments;
+  backup.assign_frame =
+      encode(new_assignment(backup, jobs_.at(attempt.job), attempt.identity,
+                            controller_.executable_cached(backup_id, attempt.job),
+                            backup.piece_fragments));
   backup.assign_sent_ms = now_ms_;
   backup.assign_retries = 0;
-  backup.piece_started_ms = now_ms_;
-  const core::PhoneSpec& spec = controller_.phone(backup.phone);
-  backup.piece_predicted_ms = core::completion_time(
-      job.spec, spec, controller_.prediction().predict(job.spec.task_name, spec), input_kb,
-      ships_executable);
   try {
     send_frame(backup.conn, backup.assign_frame);
   } catch (const SocketError& e) {
-    log_warn("cwc-server") << "backup launch to phone " << backup.phone
+    log_warn("cwc-server") << "backup launch to phone " << backup_id
                            << " failed: " << e.what();
     drop_connection(backup, /*lost=*/true);
-    return;
+    return false;
   }
   arm_assign_retry(backup);
-  active_specs_[{primary.piece_identity.piece, primary.piece_identity.attempt}] =
-      ActiveSpec{primary.phone, backup.phone, primary.piece_job};
-  ++speculative_launches_;
-  obs::counter("spec.launched").inc();
-  if (obs::trace_enabled()) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kSpeculativeLaunch;
-    event.t = obs::trace_now();
-    event.value = decision.expected_remaining;
-    event.job = msg.job;
-    event.piece = primary.piece_identity.piece;
-    event.attempt = primary.piece_identity.attempt;
-    event.instant = primary.piece_identity.instant;
-    event.phone = backup.phone;
-    obs::trace_record(event);
+  return true;
+}
+
+AssignPieceMsg CwcServer::new_assignment(Connection& c, const JobState& job,
+                                         const core::PieceIdentity& identity,
+                                         bool executable_cached, const Fragments& fragments) {
+  AssignPieceMsg msg;
+  msg.job = job.spec.id;
+  msg.piece_seq = ++c.piece_seq;
+  msg.task_name = job.spec.task_name;
+  msg.kind = job.spec.kind;
+  if (!executable_cached) {
+    msg.executable.assign(static_cast<std::size_t>(job.spec.exec_kb * 1024.0), 0xEE);
   }
-  log_info("cwc-server") << "speculative backup of piece " << primary.piece_identity.piece
-                         << " (phone " << primary.phone << ", expected remaining "
-                         << decision.expected_remaining << " ms) launched on phone "
-                         << backup.phone;
+  for (const auto& [begin, end] : fragments) {
+    msg.input.insert(msg.input.end(), job.input.begin() + static_cast<std::ptrdiff_t>(begin),
+                     job.input.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  msg.trace_piece = identity.piece;
+  msg.trace_attempt = identity.attempt;
+  msg.trace_instant = identity.instant;
+  if (chunking_enabled(c)) chunk_assignment(c, msg, job, fragments);
+  return msg;
 }
 
 namespace {
@@ -867,12 +699,9 @@ void CwcServer::on_complete(Connection& c, const PieceCompleteMsg& msg) {
   if (report_fault_drops()) return;
   if (!report_matches_inflight(c, msg.piece_seq, msg.piece, msg.attempt)) {
     // A losing twin's report racing its CancelPiece lands here (its
-    // in-flight state was cleared when the speculation resolved): counted,
-    // never banked — the (piece, attempt) identity arbitrates duplicates.
-    if (msg.piece >= 0 && resolved_specs_.count({msg.piece, msg.attempt})) {
-      ++duplicate_completions_;
-      obs::counter("spec.duplicate_completions").inc();
-    }
+    // attempt was cleared when the speculation settled): counted, never
+    // banked — the (piece, attempt) identity arbitrates duplicates.
+    lifecycle_.note_stale_completion(c.phone, msg.piece, msg.attempt);
     obs::counter("net.server.stale_reports").inc();
     if (config_.bank_stale_reports) {
       // Planted regression (see ServerConfig::bank_stale_reports): bank the
@@ -885,15 +714,10 @@ void CwcServer::on_complete(Connection& c, const PieceCompleteMsg& msg) {
     }
     return;
   }
-  // First valid completion wins: if this piece was speculated, cancel the
-  // twin attempt and attribute the queue pop to the owner phone while the
-  // measurement credits whoever actually executed it.
   // Full assignment round-trip (first send of this assignment -> valid
   // report), the live counterpart of the sim's ship+execute spans.
-  obs::latency("server.assign_report_ms").record(now_ms_ - c.piece_started_ms);
-  const PhoneId owner = resolve_speculation(c);
-  c.busy = false;
-  c.speculative = false;
+  obs::latency("server.assign_report_ms")
+      .record(now_ms_ - lifecycle_.running(c.phone)->started_ms);
   c.assign_frame.clear();
   cancel_assign_retry(c);
   JobState& job = jobs_.at(msg.job);
@@ -917,7 +741,8 @@ void CwcServer::on_complete(Connection& c, const PieceCompleteMsg& msg) {
       on_journal_error(e);
     }
   }
-  controller_.on_piece_complete(owner, msg.local_exec_ms, /*executed_by=*/c.phone);
+  // First valid completion wins: a speculated piece's twin is cancelled.
+  lifecycle_.complete(c.phone, now_ms_, msg.local_exec_ms);
   maybe_finish_job(msg.job);
   assign_next_piece(c);
   maybe_reprobe(c);
@@ -932,28 +757,15 @@ void CwcServer::on_failed(Connection& c, const PieceFailedMsg& msg) {
   }
   ++failures_received_;
   obs::counter("net.server.failures_received").inc();
-  if (c.speculative) {
+  c.assign_frame.clear();
+  cancel_assign_retry(c);
+  if (!lifecycle_.fail(c.phone, now_ms_)) {
     // A backup failed: the original is still running, so nothing is
-    // banked, no fragments return, and the owner's queue stays untouched
-    // (on_piece_failed would pop a queue entry this attempt never had).
-    abort_speculation(c);
-    c.busy = false;
-    c.speculative = false;
-    c.assign_frame.clear();
-    cancel_assign_retry(c);
-    controller_.health().on_online_failure(c.phone);
-    controller_.set_plugged(c.phone, false);
+    // banked and no fragments return.
     log_info("cwc-server") << "online failure of speculative backup on phone " << c.phone
                            << ", job " << msg.job;
     return;
   }
-  // An original failing with a backup in flight resolves the speculation:
-  // the failure path banks the reported prefix and requeues the suffix, so
-  // the backup is cancelled and its racing full result dropped.
-  abort_speculation(c);
-  c.busy = false;
-  c.assign_frame.clear();
-  cancel_assign_retry(c);
   JobState& job = jobs_.at(msg.job);
 
   Kilobytes processed_kb = 0.0;
@@ -999,9 +811,9 @@ void CwcServer::on_failed(Connection& c, const PieceFailedMsg& msg) {
         }
         // Contained like every other journal write: if the append throws
         // here the exception would unwind before the unprocessed fragments
-        // below return to pending_ranges (and c.busy is already clear, so
-        // drop_connection could not re-queue them either) — the bytes would
-        // be lost and the job could never complete.
+        // below return to pending_ranges (and the attempt is already
+        // cleared, so drop_connection could not re-queue them either) — the
+        // bytes would be lost and the job could never complete.
         try {
           journal_->record_progress(msg.job, covered, msg.partial_result);
         } catch (const std::exception& e) {
@@ -1028,7 +840,7 @@ bool CwcServer::chunking_enabled(const Connection& c) const {
 }
 
 void CwcServer::chunk_assignment(Connection& c, AssignPieceMsg& msg, const JobState& job,
-                                 std::vector<std::pair<std::size_t, std::size_t>> wire_fragments) {
+                                 const Fragments& wire_fragments) {
   ChunkDirectory& dir = chunk_dirs_.at(c.phone);
   msg.chunked = true;
   msg.input_fragments.assign(wire_fragments.begin(), wire_fragments.end());
@@ -1094,9 +906,9 @@ void CwcServer::chunk_assignment(Connection& c, AssignPieceMsg& msg, const JobSt
     event.t = obs::trace_now();
     event.value = hit_kb;
     event.job = msg.job;
-    event.piece = c.piece_identity.piece;
-    event.attempt = c.piece_identity.attempt;
-    event.instant = c.piece_identity.instant;
+    event.piece = msg.trace_piece;
+    event.attempt = msg.trace_attempt;
+    event.instant = msg.trace_instant;
     event.phone = c.phone;
     obs::trace_record(event);
   }
@@ -1111,7 +923,7 @@ void CwcServer::on_chunk_request(Connection& c, const ChunkRequestMsg& msg) {
   AssignPieceMsg assign = decode_assign_piece(c.assign_frame);
   if (!assign.chunked) return;
   const std::set<ChunkId> missing(msg.missing.begin(), msg.missing.end());
-  JobState& job = jobs_.at(c.piece_job);
+  JobState& job = jobs_.at(assign.job);
 
   // Rebuild both payload blobs with the missing ids flipped to shipped.
   // The executable payload source is re-synthesized padding; the input
@@ -1153,16 +965,16 @@ void CwcServer::on_chunk_request(Connection& c, const ChunkRequestMsg& msg) {
     event.type = obs::TraceEventType::kChunkRefetch;
     event.t = obs::trace_now();
     event.value = reshipped_kb;
-    event.job = c.piece_job;
-    event.piece = c.piece_identity.piece;
-    event.attempt = c.piece_identity.attempt;
-    event.instant = c.piece_identity.instant;
+    event.job = assign.job;
+    event.piece = assign.trace_piece;
+    event.attempt = assign.trace_attempt;
+    event.instant = assign.trace_instant;
     event.phone = c.phone;
     obs::trace_record(event);
   }
   log_info("cwc-server") << "phone " << c.phone << " re-fetched " << msg.missing.size()
                          << " chunks (" << reshipped_kb << " KB) for piece "
-                         << c.piece_identity.piece;
+                         << assign.trace_piece;
   try {
     send_frame(c.conn, c.assign_frame);
   } catch (const SocketError& e) {
@@ -1179,31 +991,23 @@ void CwcServer::drop_connection(Connection& c, bool lost) {
   if (lost && c.registered) {
     ++phones_lost_;
     obs::counter("net.server.phones_lost").inc();
-    if (c.busy) {
-      abort_speculation(c);
-      if (c.speculative) {
-        // Backup connections hold a *copy* of the primary's in-flight
-        // fragments; the primary still owns them, so nothing returns to
-        // the pool here.
-        c.busy = false;
-        c.speculative = false;
-      } else {
-        // Nothing was reported: the whole in-flight slice returns to the pool.
-        JobState& job = jobs_.at(c.piece_job);
-        if (job.spec.kind == JobKind::kBreakable) {
-          for (auto it = c.piece_fragments.rbegin(); it != c.piece_fragments.rend(); ++it) {
-            job.pending_ranges.push_front(*it);
-          }
+    if (const core::Attempt* attempt = lifecycle_.running(c.phone)) {
+      // Nothing was reported: a primary's whole in-flight slice returns to
+      // the pool. A backup holds a *copy* of its primary's fragments; the
+      // primary still owns them.
+      JobState& job = jobs_.at(attempt->job);
+      if (!attempt->is_backup() && job.spec.kind == JobKind::kBreakable) {
+        for (auto it = c.piece_fragments.rbegin(); it != c.piece_fragments.rend(); ++it) {
+          job.pending_ranges.push_front(*it);
         }
-        c.busy = false;
       }
+      lifecycle_.abandon(c.phone, now_ms_);
     }
     controller_.on_phone_lost(c.phone);
     log_warn("cwc-server") << "phone " << c.phone << " declared lost";
   }
   teardown_connection(c);
   c.ready = false;
-  c.busy = false;
   c.probing = false;
   c.assign_frame.clear();
   // Dropping the last outstanding phone can flip the controller to
@@ -1293,7 +1097,7 @@ void CwcServer::publish_phone_gauges(const Connection& c) {
   const std::string prefix = "phone." + std::to_string(c.phone) + ".";
   obs::gauge(prefix + "health_state")
       .set(static_cast<double>(controller_.health().state(c.phone)));
-  obs::gauge(prefix + "in_flight").set(c.busy ? 1.0 : 0.0);
+  obs::gauge(prefix + "in_flight").set(busy(c) ? 1.0 : 0.0);
   if (!c.has_stats) return;
   const AgentStats& s = c.last_stats;
   const double cache_pct =
@@ -1317,7 +1121,7 @@ void CwcServer::publish_fleet_gauges() {
     const Connection& c = *connection;
     if (!c.conn.valid() || !c.registered) continue;
     ++connected;
-    if (c.busy) ++in_flight;
+    if (busy(c)) ++in_flight;
     if (!c.has_stats) continue;
     if (c.last_stats.charging) ++charging;
     cache_bytes += static_cast<double>(c.last_stats.cache_bytes);
@@ -1355,7 +1159,7 @@ void CwcServer::arm_assign_retry(Connection& c) {
 void CwcServer::on_assign_retry(Connection& c) {
   c.retry_timer = kInvalidTimer;
   now_ms_ = loop_.now_ms();
-  if (!c.conn.valid() || !c.busy || c.assign_frame.empty()) return;
+  if (!c.conn.valid() || !busy(c) || c.assign_frame.empty()) return;
   if (c.assign_retries >= config_.assign_max_retries) {
     log_warn("cwc-server") << "phone " << c.phone << " unresponsive after "
                            << c.assign_retries << " assignment retries; declaring lost";
@@ -1399,8 +1203,8 @@ void CwcServer::on_scheduling_tick() {
   now_ms_ = loop_.now_ms();
   maybe_schedule();
   // Nudge idle ready phones (e.g. after a replugged phone's queue fills).
-  for (auto& connection : connections_) {
-    if (connection->conn.valid() && connection->ready && !connection->busy) {
+  for (Connection* connection : connections_by_phone()) {
+    if (connection->conn.valid() && connection->ready && !busy(*connection)) {
       assign_next_piece(*connection);
       maybe_reprobe(*connection);
     }
@@ -1435,9 +1239,20 @@ void CwcServer::scheduling_instant() {
   controller_.reschedule();
   ++scheduling_rounds_;
   obs::counter("net.server.scheduling_rounds").inc();
-  for (auto& connection : connections_) {
+  for (Connection* connection : connections_by_phone()) {
     if (connection->conn.valid()) assign_next_piece(*connection);
   }
+}
+
+std::vector<CwcServer::Connection*> CwcServer::connections_by_phone() {
+  std::vector<Connection*> ordered;
+  ordered.reserve(connections_.size());
+  for (auto& connection : connections_) {
+    if (connection->conn.valid()) ordered.push_back(connection.get());
+  }
+  std::stable_sort(ordered.begin(), ordered.end(),
+                   [](const Connection* a, const Connection* b) { return a->phone < b->phone; });
+  return ordered;
 }
 
 void CwcServer::maybe_finish_job(JobId id) {
@@ -1512,7 +1327,7 @@ bool CwcServer::run(int expected_phones, Millis timeout) {
     run_timers.push_back(loop_.every(period, [this] {
       if (!first_schedule_done_) return;
       now_ms_ = loop_.now_ms();
-      maybe_speculate(now_ms_);
+      maybe_speculate();
     }));
   }
   if (config_.stop) {

@@ -8,9 +8,9 @@
 // assignment re-delivery, RPC timeouts, re-probe alarms — lives on the
 // loop's timer wheel, so the server sleeps exactly until the next event
 // and per-iteration work is O(ready), not O(fleet). All policy lives in
-// the embedded CwcController —
-// the identical brain the discrete-event simulator drives — so the wire
-// deployment validates the protocol and the simulator scales the policy.
+// the embedded CwcController and PieceLifecycle — the identical brain the
+// discrete-event simulator drives — so the wire deployment validates the
+// protocol and the simulator scales the policy.
 //
 // Byte-level input management: the controller schedules pieces in KB; the
 // server carves each job's actual input into record-aligned slices as
@@ -27,15 +27,14 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/chunk.h"
 #include "core/controller.h"
+#include "core/lifecycle.h"
 #include "core/locality.h"
-#include "core/speculation.h"
 #include "net/event_loop.h"
 #include "net/framing.h"
 #include "net/journal.h"
@@ -145,11 +144,14 @@ class CwcServer {
   std::size_t phones_lost() const { return phones_lost_; }
   std::size_t failures_received() const { return failures_received_; }
   std::size_t scheduling_rounds() const { return scheduling_rounds_; }
-  std::size_t speculative_launches() const { return speculative_launches_; }
-  std::size_t speculative_wins_backup() const { return speculative_wins_backup_; }
-  std::size_t duplicate_completions() const { return duplicate_completions_; }
+  std::size_t speculative_launches() const { return lifecycle_.stats().launched; }
+  std::size_t speculative_wins_backup() const { return lifecycle_.stats().wins_backup; }
+  std::size_t duplicate_completions() const { return lifecycle_.stats().duplicates; }
 
  private:
+  /// Byte ranges [begin, end) of a job's input.
+  using Fragments = std::vector<std::pair<std::size_t, std::size_t>>;
+
   struct JobState {
     core::JobSpec spec;
     Blob input;
@@ -174,15 +176,12 @@ class CwcServer {
     bool registered = false;
     bool probing = false;
     bool ready = false;       ///< registered + probed: schedulable
-    bool busy = false;        ///< a piece is in flight
     std::uint32_t piece_seq = 0;
     /// Byte ranges of the in-flight slice. Breakable pieces may span
     /// several non-contiguous ranges (failures fragment the pending pool;
     /// record-aligned fragments concatenate into a valid input). Atomic
     /// pieces have a single range whose begin is the resume offset.
-    std::vector<std::pair<std::size_t, std::size_t>> piece_fragments;
-    JobId piece_job = kInvalidJob;
-    core::PieceIdentity piece_identity;  ///< trace IDs of the in-flight piece
+    Fragments piece_fragments;
     /// Keep-alive liveness: a miss is one keep-alive tick where the most
     /// recently sent ping is still unacknowledged; any ack of the latest
     /// ping resets the count, so only *consecutive* misses accumulate.
@@ -206,12 +205,6 @@ class CwcServer {
     int assign_retries = 0;
     double connected_ms = 0.0;    ///< run-clock time the socket was accepted
     double last_probe_ms = 0.0;   ///< run-clock time of the last probe
-    /// Speculation: this connection runs a *backup* of another phone's
-    /// in-flight piece (same fragments, same (piece, attempt) identity;
-    /// the piece lives on the primary phone's controller queue).
-    bool speculative = false;
-    double piece_started_ms = 0.0;   ///< first send of the current assignment
-    Millis piece_predicted_ms = 0.0; ///< predicted ship+execute total
     /// Liveness reset on parole: true while the phone sat quarantined with
     /// keep-alives suppressed, so reinstatement forgives the stale streak.
     bool keepalive_suspended = false;
@@ -226,6 +219,9 @@ class CwcServer {
     bool reprobe_due = false;
   };
 
+  /// A piece is in flight on this connection's phone (the lifecycle
+  /// engine owns that state).
+  bool busy(const Connection& c) const { return lifecycle_.running(c.phone) != nullptr; }
   void accept_new_connections();
   void service_connection(Connection& c);
   void handle_frame(Connection& c, const Blob& frame);
@@ -247,28 +243,26 @@ class CwcServer {
   /// and cache counters. `wire_fragments` are the byte ranges of the
   /// original job input that msg.input concatenates.
   void chunk_assignment(Connection& c, AssignPieceMsg& msg, const JobState& job,
-                        std::vector<std::pair<std::size_t, std::size_t>> wire_fragments);
+                        const Fragments& wire_fragments);
+  /// An assignment frame for `c` that ships the job's executable (unless
+  /// the phone caches it) and the concatenated `fragments` of its input,
+  /// chunked when the phone has a cache.
+  AssignPieceMsg new_assignment(Connection& c, const JobState& job,
+                                const core::PieceIdentity& identity, bool executable_cached,
+                                const Fragments& fragments);
   /// The phone reported cached chunks missing/corrupt: evict them from the
   /// directory mirror and re-send the in-flight assignment with those
   /// chunks force-shipped.
   void on_chunk_request(Connection& c, const ChunkRequestMsg& msg);
   void drop_connection(Connection& c, bool lost);
-  /// Straggler check: snapshots in-flight pieces, asks the shared policy
-  /// (core/speculation.h) which deserve a backup, and launches them on
-  /// healthy idle phones.
-  void maybe_speculate(double now_ms);
-  void launch_backup(Connection& primary, Connection& backup,
-                     const core::SpeculationDecision& decision);
-  /// Sends CancelPiece for the loser's in-flight attempt and frees the
-  /// connection for new work (its fragments stay with the resolved piece).
-  void cancel_attempt(Connection& loser);
-  /// The winning report for a speculated piece arrived on `winner`: cancel
-  /// the twin, resolve the spec entry, and return the queue-owner phone.
-  PhoneId resolve_speculation(Connection& winner);
-  /// Aborts any speculation the connection participates in (it failed or
-  /// vanished): a backup's loss leaves the primary running; a primary's
-  /// loss cancels its backup.
-  void abort_speculation(Connection& c);
+  /// Straggler check: measures batch progress over input bytes and lets
+  /// the lifecycle engine launch backups.
+  void maybe_speculate();
+  /// Lifecycle hooks: ship a backup of `attempt` (the primary's exact byte
+  /// ranges) to `backup_id`, and send CancelPiece for a cancelled attempt
+  /// (the connection is then free for new work).
+  bool ship_backup(PhoneId backup_id, PhoneId primary_id, const core::Attempt& attempt);
+  void cancel_attempt(PhoneId phone, const core::Attempt& attempt);
   Connection* find_connection(PhoneId phone);
   void send_keepalives(double now_ms);
   /// Publishes this phone's gauges (health state, cache%, in-flight,
@@ -307,13 +301,18 @@ class CwcServer {
   /// tail may be torn; replay recovers the longest valid prefix).
   void on_journal_error(const std::exception& error);
   void scheduling_instant();
+  /// Live connections in phone-id order. Slices are carved off the pending
+  /// pool in the order phones are served, so serving them in accept order
+  /// would let an agent-connect race decide which bytes each phone gets.
+  std::vector<Connection*> connections_by_phone();
   void maybe_finish_job(JobId job);
   bool all_jobs_done() const;
   /// Cuts the next ~`kb` of record-aligned bytes from the job's pending
   /// ranges, spanning multiple ranges if the pool is fragmented.
-  std::vector<std::pair<std::size_t, std::size_t>> carve_slice(JobState& job, Kilobytes kb);
+  Fragments carve_slice(JobState& job, Kilobytes kb);
 
   core::CwcController controller_;
+  core::PieceLifecycle lifecycle_;
   const tasks::TaskRegistry* registry_;
   ServerConfig config_;
   TcpListener listener_;
@@ -328,26 +327,12 @@ class CwcServer {
   /// valid as phones come and go.
   std::map<PhoneId, ChunkDirectory> chunk_dirs_;
   core::ChunkLocalityIndex locality_;
-  /// Active speculations keyed by (piece, attempt) identity.
-  struct ActiveSpec {
-    PhoneId primary = kInvalidPhone;
-    PhoneId backup = kInvalidPhone;
-    JobId job = kInvalidJob;
-  };
-  using SpecKey = std::pair<std::int32_t, std::int32_t>;
-  std::map<SpecKey, ActiveSpec> active_specs_;
-  /// Identities whose speculation already resolved: a late twin report is
-  /// a counted duplicate, never banked again.
-  std::set<SpecKey> resolved_specs_;
   std::unique_ptr<Journal> journal_;
   std::uint64_t epoch_ = 0;  ///< per-run nonce (see epoch())
   std::size_t probes_sent_ = 0;
   std::size_t phones_lost_ = 0;
   std::size_t failures_received_ = 0;
   std::size_t scheduling_rounds_ = 0;
-  std::size_t speculative_launches_ = 0;
-  std::size_t speculative_wins_backup_ = 0;
-  std::size_t duplicate_completions_ = 0;
   double now_ms_ = 0.0;  ///< run-clock time of the current loop iteration
   bool shutdown_sent_ = false;
   /// run() state, event-driven: the first scheduling instant waits for

@@ -68,20 +68,20 @@ TestbedSimulation::TestbedSimulation(std::unique_ptr<core::Scheduler> scheduler,
                                      std::vector<core::PhoneSpec> phones, SimOptions options,
                                      std::uint64_t seed)
     : controller_(std::move(scheduler), std::move(prediction), options.health),
+      lifecycle_(controller_, options.speculation,
+                 {[this](PhoneId id) { return runtime_.at(id).alive; },
+                  [this](PhoneId backup, PhoneId primary, const core::Attempt& attempt) {
+                    return ship_backup(backup, primary, attempt);
+                  },
+                  [this](PhoneId id, const core::Attempt& attempt) { on_cancelled(id, attempt); }}),
       options_(options),
       rng_(seed) {
   for (const core::PhoneSpec& phone : phones) {
     controller_.register_phone(phone);
     runtime_[phone.id].spec = phone;
   }
-  // Pre-register speculation counters so they export zero-valued even in
-  // runs with --speculation off (the telemetry smoke check asserts them).
-  obs::counter("spec.launched");
-  obs::counter("spec.wins_primary");
-  obs::counter("spec.wins_backup");
-  obs::counter("spec.cancels_sent");
-  obs::counter("spec.aborted");
-  // Same for the chunk-cache counters (the repeat-leg smoke asserts them).
+  // Pre-register the chunk-cache counters so they export zero-valued even
+  // in runs without chunking (the repeat-leg smoke asserts them).
   obs::counter("cache.hit_kb");
   obs::counter("cache.miss_kb");
   obs::counter("cache.evicted_kb");
@@ -218,21 +218,16 @@ void TestbedSimulation::schedule_instant() {
   if (sampler_) sampler_->sample_now(events_.now());
   log_info("sim") << "scheduling instant at " << to_seconds(events_.now())
                   << " s (round " << result_.scheduling_rounds << ")";
-  for (auto& [id, phone] : runtime_) {
-    if (phone.alive && !phone.busy) start_next_piece(id);
-  }
+  for (const auto& [id, phone] : runtime_) start_next_piece(id);
 }
 
 void TestbedSimulation::start_next_piece(PhoneId phone_id) {
   PhoneRuntime& phone = runtime_.at(phone_id);
-  if (!phone.alive || phone.busy) return;
+  if (!phone.alive || lifecycle_.running(phone_id)) return;
   const auto work = controller_.current_work(phone_id);
   if (!work) return;
 
   const core::JobSpec& job = controller_.job(work->piece.job);
-  const Millis now = events_.now();
-  Kilobytes ship_exec_kb = work->executable_cached ? 0.0 : job.exec_kb;
-  Kilobytes ship_input_kb = work->piece.input_kb;
   phone.claimed = {0, 0};
   if (chunking_enabled()) {
     // Claim this piece's byte range on the job's input grid: sequentially
@@ -251,9 +246,21 @@ void TestbedSimulation::start_next_piece(PhoneId phone_id) {
       phone.claimed = {begin, std::min(jc.input_bytes, begin + bytes)};
       cursor = begin + bytes;
     }
-    const ShipAccount acct =
-        chunked_ship(phone_id, work->piece.job, !work->executable_cached,
-                     phone.claimed.first, phone.claimed.second, work->identity);
+  }
+  dispatch(phone_id, job, work->piece.input_kb, !work->executable_cached, work->identity);
+  lifecycle_.start(phone_id, *work, events_.now(),
+                   ever_failed_jobs_.count(work->piece.job) > 0);
+}
+
+void TestbedSimulation::dispatch(PhoneId phone_id, const core::JobSpec& job, Kilobytes input_kb,
+                                 bool ship_exec, const core::PieceIdentity& identity) {
+  PhoneRuntime& phone = runtime_.at(phone_id);
+  const Millis now = events_.now();
+  Kilobytes ship_exec_kb = ship_exec ? job.exec_kb : 0.0;
+  Kilobytes ship_input_kb = input_kb;
+  if (chunking_enabled()) {
+    const ShipAccount acct = chunked_ship(phone_id, job.id, ship_exec, phone.claimed.first,
+                                          phone.claimed.second, identity);
     ship_exec_kb = acct.exec_kb;
     ship_input_kb = acct.input_kb;
   } else {
@@ -265,24 +272,11 @@ void TestbedSimulation::start_next_piece(PhoneId phone_id) {
   // Ground-truth execution time: hidden efficiency plus lognormal noise.
   const double noise =
       options_.exec_noise_sd > 0.0 ? rng_.lognormal(0.0, options_.exec_noise_sd) : 1.0;
-  const Millis execute = work->piece.input_kb * true_cost(job.task_name, phone.spec) * noise;
+  const Millis execute = input_kb * true_cost(job.task_name, phone.spec) * noise;
 
-  phone.busy = true;
   phone.transfer_start = now;
   phone.transfer_end = now + transfer;
   phone.execute_end = now + transfer + execute;
-  phone.piece = work->piece;
-  phone.identity = work->identity;
-  phone.piece_rescheduled = ever_failed_jobs_.count(work->piece.job) > 0;
-  phone.speculative = false;
-  // Straggler detection compares elapsed time against what the *visible*
-  // model promised, not the hidden ground truth above.
-  phone.predicted_ms =
-      core::completion_time(job, phone.spec,
-                            controller_.prediction().predict(job.task_name, phone.spec),
-                            work->piece.input_kb, !work->executable_cached);
-  controller_.set_in_flight(phone_id, true);
-
   const std::uint64_t epoch = phone.epoch;
   events_.schedule_at(phone.execute_end, [this, phone_id, epoch] {
     finish_piece(phone_id, epoch);
@@ -293,186 +287,52 @@ void TestbedSimulation::finish_piece(PhoneId phone_id, std::uint64_t epoch) {
   PhoneRuntime& phone = runtime_.at(phone_id);
   if (!phone.alive || phone.epoch != epoch) return;  // stale event
 
+  const core::Attempt& attempt = *lifecycle_.running(phone_id);
   const Millis now = events_.now();
   if (phone.transfer_end > phone.transfer_start) {
     // Span value = KB that actually crossed the link (chunk misses only),
     // matching the live server; cwc_trace's hit-rate column divides
     // kChunkCacheHit KB by (hit + shipped).
-    emit_span(obs::TraceEventType::kPieceShipped, phone_id, phone.piece.job, phone.identity,
-              phone.piece_rescheduled, phone.transfer_start, phone.transfer_end,
-              phone.shipped_kb);
+    emit_span(obs::TraceEventType::kPieceShipped, phone_id, attempt.job, attempt.identity,
+              attempt.rescheduled, phone.transfer_start, phone.transfer_end, phone.shipped_kb);
   }
-  emit_span(obs::TraceEventType::kPieceStarted, phone_id, phone.piece.job, phone.identity,
-            phone.piece_rescheduled, phone.transfer_end, now, now - phone.transfer_end);
+  emit_span(obs::TraceEventType::kPieceStarted, phone_id, attempt.job, attempt.identity,
+            attempt.rescheduled, phone.transfer_end, now, now - phone.transfer_end);
   result_.makespan = std::max(result_.makespan, now);
-  if (!phone.piece_rescheduled) {
+  if (!attempt.rescheduled) {
     result_.original_makespan = std::max(result_.original_makespan, now);
   }
 
   obs::counter("sim.pieces_completed").inc();
   phone.busy_ms += now - phone.transfer_start;
-  phone.busy = false;
-
-  // Speculation arbitration: the first finisher of a speculated piece wins;
-  // the queue pop is attributed to the owner phone while the measurement
-  // credits whoever actually executed it.
-  PhoneId owner = phone_id;
-  if (phone.speculative) {
-    owner = phone.spec_peer;
-    phone.speculative = false;
-    phone.spec_peer = kInvalidPhone;
-    PhoneRuntime& primary = runtime_.at(owner);
-    primary.spec_peer = kInvalidPhone;
-    if (primary.busy) {
-      // Cancel the original's in-flight attempt (its completion event is
-      // invalidated by the epoch bump).
-      ++primary.epoch;
-      primary.busy = false;
-      primary.busy_ms += now - primary.transfer_start;
-      emit_span(obs::TraceEventType::kPieceCancelled, owner, phone.piece.job, phone.identity,
-                phone.piece_rescheduled, now, now, 0.0);
-      obs::counter("spec.cancels_sent").inc();
-    }
-    obs::counter("spec.wins_backup").inc();
-    log_info("sim") << "speculative backup on phone " << phone_id << " won piece "
-                    << phone.identity.piece << " from phone " << owner;
-  } else if (phone.spec_peer != kInvalidPhone) {
-    // The original beat its backup: reclaim the backup phone.
-    cancel_backup(phone.spec_peer, /*count_as_cancel=*/true);
-    phone.spec_peer = kInvalidPhone;
-    obs::counter("spec.wins_primary").inc();
-  }
-
-  completed_kb_ += phone.piece.input_kb;
-  controller_.on_piece_complete(owner, now - phone.transfer_end, /*executed_by=*/phone_id);
+  completed_kb_ += attempt.input_kb;
+  const PhoneId owner = lifecycle_.complete(phone_id, now, now - phone.transfer_end);
   start_next_piece(phone_id);
   if (owner != phone_id) start_next_piece(owner);
   maybe_finish();
 }
 
-void TestbedSimulation::cancel_backup(PhoneId backup_id, bool count_as_cancel) {
-  PhoneRuntime& backup = runtime_.at(backup_id);
-  if (!backup.speculative) return;
-  const Millis now = events_.now();
-  if (backup.busy) {
-    ++backup.epoch;  // invalidate the backup's completion event
-    backup.busy = false;
-    backup.busy_ms += now - backup.transfer_start;
-  }
-  backup.speculative = false;
-  backup.spec_peer = kInvalidPhone;
-  obs::counter(count_as_cancel ? "spec.cancels_sent" : "spec.aborted").inc();
-  emit_span(obs::TraceEventType::kPieceCancelled, backup_id, backup.piece.job, backup.identity,
-            backup.piece_rescheduled, now, now, 0.0);
-  if (backup.alive) start_next_piece(backup_id);
+void TestbedSimulation::on_cancelled(PhoneId phone_id, const core::Attempt& attempt) {
+  PhoneRuntime& phone = runtime_.at(phone_id);
+  ++phone.epoch;  // invalidate the cancelled attempt's completion event
+  phone.busy_ms += events_.now() - phone.transfer_start;
+  // A freed backup takes its own work right away; a cancelled primary
+  // restarts once the winner's completion has popped its queue front.
+  if (attempt.is_backup() && phone.alive) start_next_piece(phone_id);
 }
 
-void TestbedSimulation::launch_backup(PhoneId primary_id, PhoneId backup_id,
-                                      Millis expected_remaining) {
-  PhoneRuntime& primary = runtime_.at(primary_id);
-  PhoneRuntime& backup = runtime_.at(backup_id);
-  const core::JobSpec& job = controller_.job(primary.piece.job);
-  const Millis now = events_.now();
-  const bool cached = controller_.executable_cached(backup_id, primary.piece.job);
-  Kilobytes ship_exec_kb = cached ? 0.0 : job.exec_kb;
-  Kilobytes ship_input_kb = primary.piece.input_kb;
-  if (chunking_enabled()) {
-    // The backup re-ships the primary's claimed range to its own cache.
-    const ShipAccount acct =
-        chunked_ship(backup_id, primary.piece.job, !cached, primary.claimed.first,
-                     primary.claimed.second, primary.identity);
-    ship_exec_kb = acct.exec_kb;
-    ship_input_kb = acct.input_kb;
-  } else {
-    shipped_kb_total_ += ship_exec_kb + ship_input_kb;
-  }
-  backup.claimed = primary.claimed;
-  backup.shipped_kb = ship_input_kb;
-  const Millis transfer = link_transfer_ms(backup_id, now, ship_exec_kb + ship_input_kb,
-                                           backup.spec.b);
-  const double noise =
-      options_.exec_noise_sd > 0.0 ? rng_.lognormal(0.0, options_.exec_noise_sd) : 1.0;
-  const Millis execute =
-      primary.piece.input_kb * true_cost(job.task_name, backup.spec) * noise;
-
-  backup.busy = true;
-  backup.speculative = true;
-  backup.spec_peer = primary_id;
-  primary.spec_peer = backup_id;
-  backup.transfer_start = now;
-  backup.transfer_end = now + transfer;
-  backup.execute_end = now + transfer + execute;
-  backup.piece = primary.piece;
-  backup.identity = primary.identity;
-  backup.piece_rescheduled = primary.piece_rescheduled;
-  backup.predicted_ms = core::completion_time(
-      job, backup.spec, controller_.prediction().predict(job.task_name, backup.spec),
-      primary.piece.input_kb, !cached);
-
-  obs::counter("spec.launched").inc();
-  if (obs::trace_enabled()) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kSpeculativeLaunch;
-    event.t = now;
-    event.value = expected_remaining;
-    event.job = primary.piece.job;
-    event.piece = primary.identity.piece;
-    event.attempt = primary.identity.attempt;
-    event.instant = primary.identity.instant;
-    event.phone = backup_id;
-    obs::trace_record(event);
-  }
-  log_info("sim") << "speculative backup of piece " << primary.identity.piece << " (phone "
-                  << primary_id << ", expected remaining " << expected_remaining
-                  << " ms) launched on phone " << backup_id;
-
-  const std::uint64_t epoch = backup.epoch;
-  events_.schedule_at(backup.execute_end,
-                      [this, backup_id, epoch] { finish_piece(backup_id, epoch); });
-}
-
-void TestbedSimulation::maybe_speculate() {
-  if (!options_.speculation.enabled) return;
-  const double done_fraction = total_kb_ > 0.0 ? std::min(1.0, completed_kb_ / total_kb_) : 1.0;
-
-  std::vector<core::InFlightPiece> in_flight;
-  std::vector<PhoneId> owners;
-  for (auto& [id, phone] : runtime_) {
-    if (!phone.alive || !phone.busy || phone.speculative) continue;
-    core::InFlightPiece piece;
-    piece.phone = id;
-    piece.piece = phone.identity.piece;
-    piece.attempt = phone.identity.attempt;
-    piece.elapsed_ms = events_.now() - phone.transfer_start;
-    piece.predicted_ms = phone.predicted_ms;
-    piece.breakable = controller_.job(phone.piece.job).kind == JobKind::kBreakable;
-    piece.has_backup = phone.spec_peer != kInvalidPhone;
-    in_flight.push_back(piece);
-    owners.push_back(id);
-  }
-  if (in_flight.empty()) return;
-
-  // Backup candidates: alive, idle, plugged, queue-empty, fully healthy.
-  std::vector<PhoneId> idle;
-  for (auto& [id, phone] : runtime_) {
-    if (!phone.alive || phone.busy) continue;
-    if (!controller_.is_plugged(id)) continue;
-    if (controller_.health().state(id) != core::HealthState::kHealthy) continue;
-    if (controller_.current_work(id)) continue;
-    idle.push_back(id);
-  }
-
-  const auto decisions =
-      core::pieces_to_speculate(options_.speculation, done_fraction, in_flight, idle.size());
-  std::size_t next_idle = 0;
-  for (const core::SpeculationDecision& decision : decisions) {
-    if (next_idle >= idle.size()) break;
-    launch_backup(owners[decision.index], idle[next_idle++], decision.expected_remaining);
-  }
+bool TestbedSimulation::ship_backup(PhoneId backup_id, PhoneId primary_id,
+                                    const core::Attempt& attempt) {
+  // The backup re-ships the primary's claimed range to its own cache.
+  runtime_.at(backup_id).claimed = runtime_.at(primary_id).claimed;
+  dispatch(backup_id, controller_.job(attempt.job), attempt.input_kb,
+           !controller_.executable_cached(backup_id, attempt.job), attempt.identity);
+  return true;
 }
 
 void TestbedSimulation::chain_speculation_check() {
-  maybe_speculate();
+  const double done_fraction = total_kb_ > 0.0 ? std::min(1.0, completed_kb_ / total_kb_) : 1.0;
+  lifecycle_.speculate(events_.now(), done_fraction);
   if (result_.completed) return;
   const Millis period = options_.speculation_check_period > 0.0
                             ? options_.speculation_check_period
@@ -492,15 +352,10 @@ void TestbedSimulation::apply_failure(const FailureEvent& event) {
       // epoch bump cancels any pending offline-loss detection: the phone
       // reconnected before the keep-alive budget expired.
       if (!phone.alive) {
-        // A primary that went offline with a backup still racing restarts
-        // its piece from the queue on replug; the backup would otherwise
-        // double-complete the same piece.
-        if (phone.spec_peer != kInvalidPhone) {
-          cancel_backup(phone.spec_peer, /*count_as_cancel=*/false);
-          phone.spec_peer = kInvalidPhone;
-        }
+        // A primary that went offline restarts its piece from the queue;
+        // a backup still racing it would double-complete the same piece.
+        lifecycle_.abandon(event.phone, now);
         phone.alive = true;
-        phone.busy = false;
         ++phone.epoch;
       }
       if (!controller_.is_plugged(event.phone)) {
@@ -522,60 +377,41 @@ void TestbedSimulation::apply_failure(const FailureEvent& event) {
       obs::counter("sim.failures.online").inc();
       ++phone.epoch;  // invalidate the in-flight completion event
       phone.alive = false;
-      if (!phone.busy) {
+      const core::Attempt* running = lifecycle_.running(event.phone);
+      if (!running) {
         controller_.set_plugged(event.phone, false);
         return;
       }
-      if (phone.speculative) {
-        // A failing *backup* holds no queue entry: aborting the
-        // speculation and unplugging is the whole story (on_piece_failed
-        // would pop a piece this phone never owned).
-        PhoneRuntime& primary = runtime_.at(phone.spec_peer);
-        primary.spec_peer = kInvalidPhone;
-        phone.spec_peer = kInvalidPhone;
-        phone.speculative = false;
-        phone.busy = false;
-        phone.busy_ms += now - phone.transfer_start;
-        obs::counter("spec.aborted").inc();
-        controller_.health().on_online_failure(event.phone);
-        controller_.set_plugged(event.phone, false);
-        return;
-      }
-      if (phone.spec_peer != kInvalidPhone) {
-        // The original fails with a backup in flight: the failure path
-        // banks the processed prefix and requeues the remainder as a new
-        // attempt, so the backup's stale attempt must not race it.
-        cancel_backup(phone.spec_peer, /*count_as_cancel=*/false);
-        phone.spec_peer = kInvalidPhone;
-      }
-      phone.busy = false;
+      const core::Attempt attempt = *running;  // fail() clears it
       phone.busy_ms += now - phone.transfer_start;
-      const core::JobSpec& job = controller_.job(phone.piece.job);
+      if (!lifecycle_.fail(event.phone, now)) return;  // a backup: settled
       Kilobytes processed = 0.0;
       Millis local_ms = 0.0;
       if (now > phone.transfer_end) {
         const Millis exec_total = phone.execute_end - phone.transfer_end;
         const double fraction =
             exec_total > 0.0 ? std::min(1.0, (now - phone.transfer_end) / exec_total) : 1.0;
-        processed = phone.piece.input_kb * fraction;
+        processed = attempt.input_kb * fraction;
         local_ms = now - phone.transfer_end;
-        emit_span(obs::TraceEventType::kPieceShipped, event.phone, phone.piece.job,
-                  phone.identity, phone.piece_rescheduled, phone.transfer_start,
+        emit_span(obs::TraceEventType::kPieceShipped, event.phone, attempt.job,
+                  attempt.identity, attempt.rescheduled, phone.transfer_start,
                   phone.transfer_end, phone.shipped_kb);
-        emit_span(obs::TraceEventType::kPieceStarted, event.phone, phone.piece.job,
-                  phone.identity, phone.piece_rescheduled, phone.transfer_end, now, local_ms);
+        emit_span(obs::TraceEventType::kPieceStarted, event.phone, attempt.job,
+                  attempt.identity, attempt.rescheduled, phone.transfer_end, now, local_ms);
       } else {
         // Failed mid-transfer: nothing processed, partial transfer shown.
-        emit_span(obs::TraceEventType::kPieceShipped, event.phone, phone.piece.job,
-                  phone.identity, phone.piece_rescheduled, phone.transfer_start, now,
+        emit_span(obs::TraceEventType::kPieceShipped, event.phone, attempt.job,
+                  attempt.identity, attempt.rescheduled, phone.transfer_start, now,
                   phone.shipped_kb);
       }
       // Fabricate the checkpoint blob for atomic jobs (the wire deployment
       // carries real task state; the simulator only needs its presence so
       // the controller resumes rather than restarts).
       std::vector<std::uint8_t> checkpoint;
-      if (job.kind == JobKind::kAtomic && processed > 0.0) checkpoint = {1};
-      ever_failed_jobs_.insert(phone.piece.job);
+      if (controller_.job(attempt.job).kind == JobKind::kAtomic && processed > 0.0) {
+        checkpoint = {1};
+      }
+      ever_failed_jobs_.insert(attempt.job);
       completed_kb_ += processed;  // banked progress counts toward done fraction
       controller_.on_piece_failed(event.phone, processed, std::move(checkpoint), local_ms);
       return;
@@ -585,30 +421,22 @@ void TestbedSimulation::apply_failure(const FailureEvent& event) {
       obs::counter("sim.failures.offline").inc();
       ++phone.epoch;
       phone.alive = false;
-      if (phone.busy && phone.speculative) {
-        // A backup going silent aborts its speculation immediately (it
-        // holds no queue entry; the primary keeps running untouched).
-        runtime_.at(phone.spec_peer).spec_peer = kInvalidPhone;
-        phone.spec_peer = kInvalidPhone;
-        phone.speculative = false;
-        obs::counter("spec.aborted").inc();
-      }
       // Record what the phone was doing when it vanished (nothing, when it
       // was idle between pieces).
-      if (phone.busy && now > phone.transfer_start) {
-        emit_span(obs::TraceEventType::kPieceShipped, event.phone, phone.piece.job,
-                  phone.identity, phone.piece_rescheduled, phone.transfer_start,
-                  std::min(now, phone.transfer_end), phone.shipped_kb);
-        if (now > phone.transfer_end) {
-          emit_span(obs::TraceEventType::kPieceStarted, event.phone, phone.piece.job,
-                    phone.identity, phone.piece_rescheduled, phone.transfer_end, now,
-                    now - phone.transfer_end);
+      if (const core::Attempt* attempt = lifecycle_.running(event.phone)) {
+        if (now > phone.transfer_start) {
+          emit_span(obs::TraceEventType::kPieceShipped, event.phone, attempt->job,
+                    attempt->identity, attempt->rescheduled, phone.transfer_start,
+                    std::min(now, phone.transfer_end), phone.shipped_kb);
+          if (now > phone.transfer_end) {
+            emit_span(obs::TraceEventType::kPieceStarted, event.phone, attempt->job,
+                      attempt->identity, attempt->rescheduled, phone.transfer_end, now,
+                      now - phone.transfer_end);
+          }
+          phone.busy_ms += now - phone.transfer_start;
         }
+        lifecycle_.halt(event.phone);
       }
-      if (phone.busy && now > phone.transfer_start) {
-        phone.busy_ms += now - phone.transfer_start;
-      }
-      phone.busy = false;
       // The server notices only after the keep-alive budget expires — and
       // only if the phone has not replugged in the meantime (the epoch
       // guard: a replug bumps it, cancelling this detection).
@@ -619,14 +447,10 @@ void TestbedSimulation::apply_failure(const FailureEvent& event) {
       events_.schedule_in(detection, [this, id, epoch_at_failure] {
         PhoneRuntime& lost = runtime_.at(id);
         if (lost.alive || lost.epoch != epoch_at_failure) return;  // it came back
-        // A backup racing the lost original may win in the detection
-        // window (its completion pops the owner's queue before the loss
-        // requeues it). If it has not won by now, cancel it: requeueing
-        // creates a fresh attempt and the stale one must not race it.
-        if (lost.spec_peer != kInvalidPhone) {
-          cancel_backup(lost.spec_peer, /*count_as_cancel=*/false);
-          lost.spec_peer = kInvalidPhone;
-        }
+        // A backup racing the lost original may already have won in the
+        // detection window; if not, requeueing creates a fresh attempt and
+        // the stale one must not race it.
+        lifecycle_.abandon(id, events_.now());
         // Everything the lost phone held becomes rescheduled work (the
         // shaded bars of Fig. 12c).
         obs::counter("sim.keepalive.misses").inc(static_cast<double>(options_.keepalive_misses));
@@ -651,10 +475,7 @@ void TestbedSimulation::apply_failure(const FailureEvent& event) {
 
 void TestbedSimulation::maybe_finish() {
   // Completion = controller drained and every phone idle.
-  if (!controller_.all_done()) return;
-  for (const auto& [id, phone] : runtime_) {
-    if (phone.busy) return;
-  }
+  if (!controller_.all_done() || lifecycle_.any_running()) return;
   result_.completed = true;
 }
 

@@ -29,9 +29,9 @@
 #include "common/chunk.h"
 #include "common/rng.h"
 #include "core/controller.h"
+#include "core/lifecycle.h"
 #include "core/locality.h"
 #include "core/model.h"
-#include "core/speculation.h"
 #include "obs/timeseries.h"
 #include "sim/event_queue.h"
 
@@ -166,27 +166,15 @@ class TestbedSimulation {
   MsPerKb true_cost(const std::string& task, const core::PhoneSpec& phone) const;
 
  private:
+  /// Virtual-time state of one phone; which attempt it runs, and any
+  /// speculation pairing, live in the lifecycle engine.
   struct PhoneRuntime {
     core::PhoneSpec spec;
     std::uint64_t epoch = 0;   ///< invalidates in-flight events
-    bool busy = false;
     bool alive = true;         ///< false while unplugged/offline
     Millis transfer_start = 0.0;
     Millis transfer_end = 0.0;
     Millis execute_end = 0.0;
-    core::JobPiece piece;
-    core::PieceIdentity identity;  ///< trace IDs of the in-flight piece
-    bool piece_rescheduled = false;
-    /// Straggler detection: the scheduler's visible prediction for the
-    /// in-flight piece (ship + execute, from the *prediction model*, not
-    /// the hidden ground truth).
-    Millis predicted_ms = 0.0;
-    /// True while running a *backup* of another phone's in-flight piece
-    /// (same identity; the piece lives on the primary's controller queue).
-    bool speculative = false;
-    /// The twin phone of an active speculation (primary <-> backup), or
-    /// kInvalidPhone when this phone's piece is not speculated.
-    PhoneId spec_peer = kInvalidPhone;
     /// Total transfer+execute time spent on pieces (including the partial
     /// work of failed pieces) — the numerator of per-phone utilization.
     Millis busy_ms = 0.0;
@@ -201,15 +189,19 @@ class TestbedSimulation {
   void schedule_instant();
   void chain_instant();
   void start_next_piece(PhoneId phone);
+  /// Ships a piece to the phone at now (chunk accounting, link time) and
+  /// schedules its completion after a ground-truth execution time.
+  void dispatch(PhoneId phone, const core::JobSpec& job, Kilobytes input_kb, bool ship_exec,
+                const core::PieceIdentity& identity);
   void finish_piece(PhoneId phone, std::uint64_t epoch);
   void apply_failure(const FailureEvent& event);
   void maybe_finish();
   void chain_speculation_check();
-  void maybe_speculate();
-  void launch_backup(PhoneId primary_id, PhoneId backup_id, Millis expected_remaining);
-  /// Tears down an in-flight backup (its primary failed, won, or the
-  /// backup itself is failing); the primary keeps or reclaims the piece.
-  void cancel_backup(PhoneId backup_id, bool count_as_cancel);
+  /// Lifecycle hooks: put a backup of `attempt` into virtual time on
+  /// `backup_id`, and stop a cancelled attempt (its completion event is
+  /// invalidated by the epoch bump).
+  bool ship_backup(PhoneId backup_id, PhoneId primary_id, const core::Attempt& attempt);
+  void on_cancelled(PhoneId phone, const core::Attempt& attempt);
 
   bool chunking_enabled() const {
     return options_.chunk_kb > 0.0 && options_.cache_mb > 0.0;
@@ -233,6 +225,7 @@ class TestbedSimulation {
                            const core::PieceIdentity& identity);
 
   core::CwcController controller_;
+  core::PieceLifecycle lifecycle_;
   SimOptions options_;
   EventQueue events_;
   Rng rng_;

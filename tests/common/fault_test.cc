@@ -56,6 +56,12 @@ TEST_F(FaultTest, ParseSpecRejectsMalformedInput) {
   EXPECT_THROW(parse_fault_spec("socket_write"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("socket_write:drop@zeal=9"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("socket_write:delay(abc)"), std::invalid_argument);
+  // Non-finite values: NaN slips past a plain range check (and a rule with
+  // no trigger fires on every hit); an infinite delay sleeps forever.
+  EXPECT_THROW(parse_fault_spec("socket_write:reset@p=nan"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("socket_write:delay(inf)"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("socket_write:reset@p=0.5x"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("socket_write:reset@n=1,2x"), std::invalid_argument);
 }
 
 TEST_F(FaultTest, PointNamesRoundTrip) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace cwc {
 namespace {
 
@@ -63,6 +66,28 @@ TEST(Flags, MalformedNumbersThrow) {
   EXPECT_THROW(flags.get_int("port", 0), std::invalid_argument);
   EXPECT_THROW(flags.get_double("rate", 0.0), std::invalid_argument);
   EXPECT_THROW(flags.get_bool("flag"), std::invalid_argument);
+}
+
+TEST(Flags, NonNumericAndOutOfRangeValuesThrowNamingTheFlag) {
+  const Flags flags =
+      parse({"--seed=abc", "--keepalive-ms=fast", "--big=99999999999999999999", "--empty=",
+             "--huge=1e999", "--nan=nan", "--inf=-inf"});
+  for (const char* name : {"seed", "keepalive-ms", "big", "empty"}) {
+    try {
+      (void)flags.get_int(name, 0);
+      ADD_FAILURE() << name << " parsed as an integer";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name), std::string::npos);
+    }
+  }
+  for (const char* name : {"keepalive-ms", "huge", "nan", "inf", "empty"}) {
+    try {
+      (void)flags.get_double(name, 0.0);
+      ADD_FAILURE() << name << " parsed as a number";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name), std::string::npos);
+    }
+  }
 }
 
 TEST(Flags, UnknownDetection) {

@@ -1,10 +1,8 @@
-// Warm-started bisection and speculative parallel probes: the two capacity
-// search accelerators added on top of the shared PackProblem. Warm starts
-// reuse the previous scheduling instant's achieved makespan as the initial
-// upper bound; parallel probes pack several capacities per round on
-// threads. Both must never worsen the schedule the search converges to
-// (beyond the binary search's own resolution) and must fall back cleanly
-// when the hint is useless.
+// Warm-started bisection: the capacity search accelerator added on top of
+// the shared PackProblem. Warm starts reuse the previous scheduling
+// instant's achieved makespan as the initial upper bound. They must never
+// worsen the schedule the search converges to (beyond the binary search's
+// own resolution) and must fall back cleanly when the hint is useless.
 #include "core/greedy.h"
 
 #include <gtest/gtest.h>
@@ -134,63 +132,6 @@ TEST(GreedyWarmStart, ControllerFeedsAchievedMakespanForward) {
   }
   const Schedule second = controller.reschedule();
   EXPECT_EQ(*controller.capacity_hint(), second.predicted_makespan);
-}
-
-// --- Speculative parallel probes ------------------------------------------
-
-class GreedyParallelProbesTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(GreedyParallelProbesTest, MatchesSequentialQualityAndIsDeterministic) {
-  const Instance inst = make_instance(static_cast<std::uint64_t>(GetParam()) * 97 + 31);
-  const GreedyScheduler sequential;
-  GreedyScheduler::Options options;
-  options.parallel_probes = 4;
-  const GreedyScheduler parallel(options);
-
-  const Schedule seq = sequential.build(inst.jobs, inst.phones, inst.prediction);
-  const Schedule par1 = parallel.build(inst.jobs, inst.phones, inst.prediction);
-  const Schedule par2 = parallel.build(inst.jobs, inst.phones, inst.prediction);
-  validate_schedule(par1, inst.jobs, inst.phones);
-
-  // Probe capacities are fixed before any thread runs, so repeated builds
-  // are bit-identical regardless of thread scheduling.
-  ASSERT_EQ(par1.plans.size(), par2.plans.size());
-  for (std::size_t p = 0; p < par1.plans.size(); ++p) {
-    ASSERT_EQ(par1.plans[p].pieces.size(), par2.plans[p].pieces.size());
-    for (std::size_t k = 0; k < par1.plans[p].pieces.size(); ++k) {
-      EXPECT_EQ(par1.plans[p].pieces[k].job, par2.plans[p].pieces[k].job);
-      EXPECT_EQ(par1.plans[p].pieces[k].input_kb, par2.plans[p].pieces[k].input_kb);
-    }
-  }
-  // The K-way bracket shrink visits different capacities than the midpoint
-  // bisection, but both stop within the same relative tolerance.
-  EXPECT_LE(par1.predicted_makespan, seq.predicted_makespan * kSearchSlack);
-  EXPECT_GE(par1.predicted_makespan * kSearchSlack, seq.predicted_makespan);
-}
-
-TEST_P(GreedyParallelProbesTest, WorksCombinedWithWarmStart) {
-  const Instance inst = make_instance(static_cast<std::uint64_t>(GetParam()) * 113 + 7);
-  GreedyScheduler::Options options;
-  options.parallel_probes = 3;
-  const GreedyScheduler parallel(options);
-  const Schedule cold = parallel.build(inst.jobs, inst.phones, inst.prediction);
-  const Schedule warm = parallel.build_with_hint(inst.jobs, inst.phones, inst.prediction,
-                                                 {}, cold.predicted_makespan);
-  validate_schedule(warm, inst.jobs, inst.phones);
-  EXPECT_LE(warm.predicted_makespan, cold.predicted_makespan * kSearchSlack);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomInstances, GreedyParallelProbesTest, ::testing::Range(0, 6));
-
-TEST(GreedyParallelProbes, SingleProbeIsSequential) {
-  const Instance inst = make_instance(41);
-  GreedyScheduler::Options options;
-  options.parallel_probes = 1;  // K <= 1 stays on the sequential path
-  const GreedyScheduler one(options);
-  const GreedyScheduler plain;
-  const Schedule a = one.build(inst.jobs, inst.phones, inst.prediction);
-  const Schedule b = plain.build(inst.jobs, inst.phones, inst.prediction);
-  EXPECT_EQ(a.predicted_makespan, b.predicted_makespan);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -135,6 +136,20 @@ TEST_P(EventLoopTest, RepeatingTimerFiresUntilCancelled) {
   // Cancelled: further iterations add no ticks.
   for (int i = 0; i < 10; ++i) loop.run_once(2.0);
   EXPECT_EQ(ticks, 3);
+}
+
+TEST_P(EventLoopTest, CancelledRepeatingTimerFreesItsCallback) {
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  {
+    EventLoop loop(GetParam());
+    const TimerId handle = loop.every(2.0, [token] { ++*token; });
+    token.reset();
+    for (int i = 0; i < 200 && *watch.lock() < 2; ++i) loop.run_once(5.0);
+    EXPECT_GE(*watch.lock(), 2);
+    EXPECT_TRUE(loop.cancel(handle));
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST_P(EventLoopTest, PostRunsAfterDispatchRound) {

@@ -2,14 +2,23 @@
 // frames from phones it does not control, so every decoder must fail by
 // *throwing* (never crashing, never reading out of bounds) on arbitrary
 // bytes. These tests feed structured-random garbage into every decode
-// path and into the frame decoder.
+// path and into the frame decoder, and token soup into the fault, link,
+// soak-schedule and churn spec parsers that read command-line input.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <initializer_list>
+#include <string>
+
 #include "common/buffer.h"
+#include "common/fault.h"
+#include "common/link_fault.h"
 #include "common/rng.h"
 #include "mapreduce/mapreduce.h"
 #include "net/framing.h"
 #include "net/protocol.h"
+#include "sim/churn.h"
+#include "soak/soak.h"
 #include "tasks/blur.h"
 
 namespace cwc::net {
@@ -114,6 +123,74 @@ TEST(DecoderFuzz, BitflippedValidMessagesNeverCrash) {
         static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(valid.size()) - 1));
     mutated[pos] ^= static_cast<std::uint8_t>(1 << rng.uniform_int(0, 7));
     must_not_crash([&] { (void)decode_piece_failed(mutated); });
+  }
+}
+
+/// One to three rules, each in one of the four grammars (point fault,
+/// link fault, churn, soak-schedule line), assembled from the grammars' own
+/// words and odd numbers (nan, inf, out of range), with an occasional
+/// corrupted byte — so most inputs get deep into a parser before going
+/// wrong, and some are accepted.
+std::string random_spec(Rng& rng) {
+  const auto pick = [&rng](std::initializer_list<const char*> words) {
+    const auto last = static_cast<std::int64_t>(words.size()) - 1;
+    return std::string(words.begin()[rng.uniform_int(0, last)]);
+  };
+  const auto number = [&] {
+    return pick({"1", "3", "0.5", "0", "-1", "nan", "inf", "1e999", "2s", "16mbps", ""});
+  };
+  std::string text;
+  for (auto rules = rng.uniform_int(1, 3); rules > 0; --rules) {
+    if (!text.empty()) text += pick({";", ",", "\n"});
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        text += pick({"socket_write", "journal_append", "bogus"}) + ":";
+        text += rng.uniform_int(0, 1) == 0 ? pick({"drop", "reset", "corrupt"})
+                                           : "delay(" + number() + ")";
+        for (auto n = rng.uniform_int(0, 2); n > 0; --n) {
+          text += "@" + pick({"p", "n", "every", "limit"}) + "=" + number();
+        }
+        break;
+      case 1:
+        text += "link:" + pick({"phone=2", "*", "phone=x"}) + ":" +
+                pick({"partition", "slow", "flap", "burst"});
+        for (auto n = rng.uniform_int(0, 2); n > 0; --n) {
+          text += pick({"@", ","}) +
+                  pick({"t", "dur", "rate", "latency", "period", "duty", "p", "dir"}) + "=" +
+                  number();
+        }
+        break;
+      case 2:
+        text += pick({"0", "3", "-1"}) + ":" + pick({"slow", "flaky", "flapping"});
+        if (rng.uniform_int(0, 1) == 0) text += ":" + number();
+        break;
+      default:
+        text += pick({"seed", "churn", "kill_server", "event"}) + "=" + number();
+    }
+  }
+  if (rng.uniform_int(0, 3) == 0) {
+    const auto pos = rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1);
+    text[static_cast<std::size_t>(pos)] = static_cast<char>(rng.uniform_int(0, 255));
+  }
+  return text;
+}
+
+TEST(SpecFuzz, GrammarsAcceptOrThrowNeverCrash) {
+  Rng rng(79);
+  for (int round = 0; round < 5000; ++round) {
+    const std::string spec = random_spec(rng);
+    must_not_crash([&] {
+      // An accepted point rule must be one the injector can honour.
+      for (const fault::FaultRule& rule : fault::parse_fault_spec(spec)) {
+        EXPECT_TRUE(rule.probability == 0.0 ||
+                    (rule.probability > 0.0 && rule.probability <= 1.0))
+            << spec;
+        EXPECT_TRUE(std::isfinite(rule.action.delay_ms)) << spec;
+      }
+    });
+    must_not_crash([&] { (void)fault::parse_link_spec(spec); });
+    must_not_crash([&] { (void)soak::SoakSchedule::parse(spec); });
+    must_not_crash([&] { (void)sim::parse_churn(spec); });
   }
 }
 

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/greedy.h"
 #include "core/testbed.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "sim/simulator.h"
 
 namespace cwc::sim {
 namespace {
@@ -115,6 +119,49 @@ TEST(ChurnSpeculation, SlowPhoneMakespanImprovesWithSpeculation) {
   const Millis without = run(false);
   const Millis with = run(true);
   EXPECT_LT(with, 0.8 * without) << "speculation did not rescue the slow phone's tail";
+}
+
+// Same-seed determinism of the whole piece lifecycle. The hidden-slow
+// phone draws backups; targeted unplugs (times read off the failure-free
+// run, where backups race on phone 1 from 600 s) make the run settle
+// backup and primary wins, abort a failing backup, abort a failing
+// primary (cancelling its backup) and detect a keep-alive loss. Two runs
+// in one process must emit the same trace, event for event.
+TEST(ChurnSpeculation, SameSeedRunsEmitIdenticalLifecycleTraces) {
+  const auto run = [] {
+    obs::MetricsRegistry::global().reset();
+    Rng rng(42);
+    auto phones = core::paper_testbed(rng);
+    apply_slow_profiles(parse_churn("0:slow:10"), phones);
+    SimOptions options;
+    options.speculation.enabled = true;
+    options.speculation.completion_fraction = 0.5;
+    TestbedSimulation sim(std::make_unique<core::GreedyScheduler>(), core::paper_prediction(),
+                          phones, options, 42);
+    Rng workload_rng = rng.fork();
+    for (const JobSpec& job : core::paper_workload(workload_rng, 0.3)) sim.submit(job);
+    sim.inject({seconds(300.0), 5, FailureKind::kUnplugOffline});  // lost, detected at 390 s
+    sim.inject({seconds(500.0), 5, FailureKind::kReplug});
+    sim.inject({seconds(610.0), 1, FailureKind::kUnplugOnline});  // a racing backup fails
+    sim.inject({seconds(640.0), 1, FailureKind::kReplug});
+    sim.inject({seconds(850.0), 0, FailureKind::kUnplugOnline});  // a primary with a backup fails
+    sim.inject({seconds(900.0), 0, FailureKind::kReplug});
+    const SimResult result = sim.run();
+    EXPECT_TRUE(result.completed);
+    EXPECT_GT(obs::counter("spec.wins_backup").value(), 0.0);
+    EXPECT_GT(obs::counter("spec.wins_primary").value(), 0.0);
+    EXPECT_GE(obs::counter("spec.aborted").value(), 2.0);
+    EXPECT_GT(obs::counter("sim.failures.offline_detected").value(), 0.0);
+    std::vector<obs::TraceEvent> events = obs::TraceRecorder::global().snapshot(result.trace_begin);
+    for (obs::TraceEvent& event : events) event.seq -= result.trace_begin;  // emission order
+    return events;
+  };
+  const std::vector<obs::TraceEvent> first = run();
+  const std::vector<obs::TraceEvent> second = run();
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    ASSERT_EQ(first[i], second[i]) << "traces diverge at event " << i;
+  }
 }
 
 }  // namespace

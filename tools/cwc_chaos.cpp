@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -390,7 +391,7 @@ void print_fires() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   const auto unknown = flags.unknown({"phones", "jobs", "spec", "seed", "timeout-s",
                                       "speculation", "straggler-factor", "restart", "pods",
@@ -590,4 +591,8 @@ int main(int argc, char** argv) {
               "byte-identical to the fault-free reference\n",
               total_legs - 1, jobs.size());
   return 0;
+} catch (const std::invalid_argument& e) {
+  // Malformed or out-of-range flag values (Flags::get_int/get_double).
+  std::fprintf(stderr, "%s: %s\n", "cwc_chaos", e.what());
+  return 2;
 }

@@ -13,6 +13,7 @@
 //   cwc_phone --port=7000 --id=2 --mhz=806 --link-kbps=256 --unplug-after-s=20
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <thread>
 
 #include "common/flags.h"
@@ -44,7 +45,7 @@ constexpr const char* kUsage = R"(cwc_phone: a CWC phone agent
 )";
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   const auto unknown = flags.unknown({"host", "port", "id", "mhz", "ram-mb", "zone",
                                       "compute-ms-per-kb", "link-kbps", "unplug-after-s",
@@ -69,6 +70,12 @@ int main(int argc, char** argv) {
   config.cache_bytes =
       static_cast<std::uint64_t>(flags.get_double("cache-mb", 0.0) * 1024.0 * 1024.0);
 
+  // Every flag is read before the agent starts, so a bad value exits
+  // cleanly.
+  const long long unplug_after = flags.get_int("unplug-after-s", -1);
+  const long long replug_after = flags.get_int("replug-after-s", -1);
+  const bool offline = flags.get_bool("offline");
+
   const tasks::TaskRegistry registry = tasks::TaskRegistry::with_builtins();
   net::PhoneAgent agent(static_cast<std::uint16_t>(flags.get_int("port", 7000)), config,
                         &registry);
@@ -76,15 +83,13 @@ int main(int argc, char** argv) {
               config.server_host.c_str(), flags.get_int("port", 7000), config.cpu_mhz);
   agent.start();
 
-  const long long unplug_after = flags.get_int("unplug-after-s", -1);
   if (unplug_after >= 0) {
     std::this_thread::sleep_for(std::chrono::seconds(unplug_after));
     if (!agent.finished()) {
       std::printf("phone %d: owner unplugged (%s)\n", config.id,
-                  flags.get_bool("offline") ? "offline" : "online failure");
-      agent.unplug(flags.get_bool("offline"));
+                  offline ? "offline" : "online failure");
+      agent.unplug(offline);
     }
-    const long long replug_after = flags.get_int("replug-after-s", -1);
     if (replug_after >= 0) {
       std::this_thread::sleep_for(std::chrono::seconds(replug_after));
       if (!agent.finished()) {
@@ -97,4 +102,8 @@ int main(int argc, char** argv) {
   std::printf("phone %d done: %zu pieces completed, %zu failed\n", config.id,
               agent.pieces_completed(), agent.pieces_failed());
   return 0;
+} catch (const std::invalid_argument& e) {
+  // Malformed or out-of-range flag values (Flags::get_int/get_double).
+  std::fprintf(stderr, "%s: %s\n", "cwc_phone", e.what());
+  return 2;
 }

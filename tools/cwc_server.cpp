@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "common/fault.h"
@@ -149,7 +150,7 @@ void print_result(const std::string& task, const net::Blob& result) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   const auto unknown =
       flags.unknown({"port", "bind-all", "phones", "timeout-s", "task", "input", "generate",
@@ -347,4 +348,8 @@ int main(int argc, char** argv) {
     print_result(name, server.result(job));
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // Malformed or out-of-range flag values (Flags::get_int/get_double).
+  std::fprintf(stderr, "%s: %s\n", "cwc_server", e.what());
+  return 2;
 }

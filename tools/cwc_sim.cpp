@@ -9,6 +9,7 @@
 //   cwc_sim --scale=0.5 --phones=12 --scheduler=equal-split
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 
 #include "common/flags.h"
 #include "common/link_fault.h"
@@ -99,7 +100,7 @@ std::unique_ptr<core::Scheduler> make_scheduler(const std::string& name,
 }
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   const auto unknown = flags.unknown({"scheduler", "pods", "phones", "scale", "unplugs", "offline",
                                       "churn", "speculation", "straggler-factor",
@@ -260,4 +261,8 @@ int main(int argc, char** argv) {
                 flags.get("trace-out").c_str());
   }
   return result.completed ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  // Malformed or out-of-range flag values (Flags::get_int/get_double).
+  std::fprintf(stderr, "%s: %s\n", "cwc_sim", e.what());
+  return 2;
 }

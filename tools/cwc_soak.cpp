@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/flags.h"
@@ -83,7 +84,7 @@ soak::SoakVerdict run_schedule(const soak::SoakSchedule& schedule, const std::st
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   const auto unknown = flags.unknown({"runs", "seed", "substrate", "phones", "timeout-s",
                                       "max-events", "kill", "shrink", "shrink-probes",
@@ -201,4 +202,8 @@ int main(int argc, char** argv) {
   std::printf("cwc_soak: PASS — %lld/%lld runs held every invariant\n",
               static_cast<long long>(runs), static_cast<long long>(runs));
   return 0;
+} catch (const std::invalid_argument& e) {
+  // Malformed or out-of-range flag values (Flags::get_int/get_double).
+  std::fprintf(stderr, "%s: %s\n", "cwc_soak", e.what());
+  return 2;
 }

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -237,7 +238,7 @@ void run_shard(std::uint16_t port, PhoneId first_id, std::size_t count, Millis d
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   const auto unknown =
       flags.unknown({"agents", "threads", "keepalive-ms", "warmup-ms", "job-kb", "timeout-s",
@@ -391,4 +392,8 @@ int main(int argc, char** argv) {
     rc = 1;
   }
   return rc;
+} catch (const std::invalid_argument& e) {
+  // Malformed or out-of-range flag values (Flags::get_int/get_double).
+  std::fprintf(stderr, "%s: %s\n", "cwc_swarm", e.what());
+  return 2;
 }

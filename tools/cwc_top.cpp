@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -216,7 +217,7 @@ void render(const Snapshot& snap, const Snapshot& prev, double dt_s, bool ansi) 
 }
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   const auto unknown =
       flags.unknown({"port", "host", "interval-ms", "iterations", "once", "help"});
@@ -254,4 +255,8 @@ int main(int argc, char** argv) {
     prev_at = now;
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // Malformed or out-of-range flag values (Flags::get_int/get_double).
+  std::fprintf(stderr, "%s: %s\n", "cwc_top", e.what());
+  return 2;
 }

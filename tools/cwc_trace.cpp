@@ -8,6 +8,7 @@
 //
 //   cwc_sim --unplugs=2 --trace-out=run.json && cwc_trace run.json
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "common/flags.h"
@@ -42,7 +43,7 @@ const char* outcome_name(obs::TraceEventType outcome) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   const auto unknown = flags.unknown({"straggler-factor", "width", "help"});
   if (!unknown.empty() || flags.get_bool("help") || flags.positional().size() != 1) {
@@ -142,4 +143,8 @@ int main(int argc, char** argv) {
     std::printf("\n%s", obs::text_timeline(trace.events, width).c_str());
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // Malformed or out-of-range flag values (Flags::get_int/get_double).
+  std::fprintf(stderr, "%s: %s\n", "cwc_trace", e.what());
+  return 2;
 }
