@@ -15,10 +15,9 @@ namespace {
 
 constexpr Millis kInf = std::numeric_limits<Millis>::infinity();
 
-/// Longest sleep a single paced send may incur: pacing models a slow link,
-/// not a wedged one, and a server-side send must not stall the event loop
-/// for minutes because one frame is huge.
-constexpr Millis kMaxPerSendDelayMs = 2000.0;
+/// Longest delay one paced frame may be given: pacing models a slow link,
+/// not a wedged one, so one huge frame must not hold its link for minutes.
+constexpr Millis kMaxFrameDelayMs = 2000.0;
 
 [[noreturn]] void spec_error(const std::string& rule, const std::string& why) {
   throw std::invalid_argument("link spec: " + why + " in \"" + rule + "\"");
@@ -411,12 +410,13 @@ LinkFaultPlane::Decision LinkFaultPlane::on_send(PhoneId phone, bool toward_phon
       const Millis wait = (need_kb - bucket.tokens_kb) * 1000.0 / state.rate_kbps;
       decision.delay_ms += wait;
       bucket.tokens_kb = 0.0;
-      // The caller sleeps `wait` before the bytes move, so credit accrues
-      // from the post-sleep instant.
+      // The frame leaves `wait` from now, so credit accrues from then. A
+      // frame queued before that instant finds the bucket in debt and
+      // waits for this one too.
       bucket.last_ms = t + wait;
     }
   }
-  decision.delay_ms = std::min(decision.delay_ms, kMaxPerSendDelayMs);
+  decision.delay_ms = std::min(decision.delay_ms, kMaxFrameDelayMs);
   if (decision.delay_ms > 0) {
     ++stats_.paced_sends;
     stats_.paced_ms += decision.delay_ms;

@@ -19,7 +19,7 @@
 //         dur=<time>      window length (default: until disarm)
 //         dir=to|from|both  direction: 'to' = server->phone (default both)
 //         rate=<rate>     slow: throughput cap, e.g. 50kbps (KB/s)
-//         latency=<time>  slow: added delay per send
+//         latency=<time>  slow: added delay per frame
 //         period=<time>   flap: cycle length (default 2s)
 //         duty=<frac>     flap: fraction of each cycle the link is UP (0.5)
 //         p=<prob>        burst: per-send drop probability (default 0.5)
@@ -28,8 +28,10 @@
 //
 //   e.g. "link:phone=3:partition@t=10s,dur=5s,dir=to;link:*:slow@rate=50kbps"
 //
-// The live stack consults the plane on every send (src/net/socket.cc) using
-// wall-clock ms since arm(); the simulator integrates the same windows over
+// The live stack consults the plane once per frame (TcpConnection::
+// decide_send in src/net/socket.cc) using wall-clock ms since arm(): the
+// server's outboxes turn the delay into a release time, blocking senders
+// (agents) sleep it. The simulator integrates the same windows over
 // virtual time in its transfer model (transfer_ms). Partition/flap state is
 // a pure function of time, so both substrates agree exactly; burst decisions
 // hash (seed, link, per-link counter) so they are reproducible per link
@@ -89,7 +91,7 @@ class LinkFaultPlane {
   /// What the send path should do with one outgoing buffer.
   struct Decision {
     bool drop = false;      ///< partition or burst loss: the bytes vanish
-    Millis delay_ms = 0.0;  ///< pacing + latency to apply before sending
+    Millis delay_ms = 0.0;  ///< pacing + latency before the frame may leave
   };
 
   /// Telemetry callouts, fired under the plane lock from on_send().
@@ -122,9 +124,11 @@ class LinkFaultPlane {
   /// Disarms and clears rules, stats, buckets, and edge state.
   void reset();
 
-  /// Live send-path hook: decides drop/pacing for `bytes` flowing in the
-  /// given direction now, consuming token-bucket credit. Returns a no-op
-  /// decision when disarmed or no rule matches.
+  /// Live send-path hook, asked once per frame: decides drop/pacing for
+  /// `bytes` queued in the given direction now, consuming token-bucket
+  /// credit. Frames queued while earlier ones still wait run the bucket
+  /// into debt, so each delay covers the frames ahead of it. Returns a
+  /// no-op decision when disarmed or no rule matches.
   Decision on_send(PhoneId phone, bool toward_phone, std::size_t bytes);
 
   /// Pure time-indexed link condition — no bucket or counter side effects.
@@ -143,7 +147,7 @@ class LinkFaultPlane {
   Millis transfer_ms(PhoneId phone, Millis t, Kilobytes kb, double base_ms_per_kb) const;
 
   /// Added latency of the first active slow rule at time t (sim applies it
-  /// once per transfer; the live path applies it per send).
+  /// once per transfer; the live path applies it once per frame).
   Millis latency_at(PhoneId phone, bool toward_phone, Millis t) const;
 
   void set_observer(Observer observer);

@@ -64,32 +64,46 @@ EventLoop::~EventLoop() {
 
 void EventLoop::watch_fd(int fd, FdCallback on_ready) {
   const bool existed = watchers_.count(fd) > 0;
-  watchers_[fd] = std::move(on_ready);
-  pollfds_dirty_ = true;
-#ifdef __linux__
-  if (backend_ == Backend::kEpoll) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, existed ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev) < 0) {
-      watchers_.erase(fd);
-      throw SocketError("epoll_ctl(add)", errno);
-    }
-  }
-#else
-  (void)existed;
-#endif
-  obs::gauge("net.loop.watched_fds").set(static_cast<double>(watchers_.size()));
+  watchers_[fd].on_read = std::move(on_ready);
+  update_interest(fd, existed);
+}
+
+void EventLoop::set_write_interest(int fd, FdCallback on_writable) {
+  const auto it = watchers_.find(fd);
+  if (it == watchers_.end() && !on_writable) return;
+  const bool existed = it != watchers_.end();
+  watchers_[fd].on_write = std::move(on_writable);
+  update_interest(fd, existed);
 }
 
 void EventLoop::unwatch_fd(int fd) {
   if (watchers_.erase(fd) == 0) return;
+  update_interest(fd, /*existed=*/true);
+}
+
+void EventLoop::update_interest(int fd, bool existed) {
+  const auto it = watchers_.find(fd);
+  if (it != watchers_.end() && !it->second.on_read && !it->second.on_write) watchers_.erase(it);
+  const bool present = watchers_.count(fd) > 0;
   pollfds_dirty_ = true;
 #ifdef __linux__
   if (backend_ == Backend::kEpoll) {
     epoll_event ev{};
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev);  // best-effort
+    ev.data.fd = fd;
+    if (!present) {
+      if (existed) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev);  // best-effort
+    } else {
+      const Watcher& watcher = watchers_.at(fd);
+      ev.events = (watcher.on_read ? EPOLLIN : 0u) | (watcher.on_write ? EPOLLOUT : 0u);
+      if (::epoll_ctl(epoll_fd_, existed ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev) < 0) {
+        const int error = errno;
+        watchers_.erase(fd);
+        throw SocketError("epoll_ctl", error);
+      }
+    }
   }
+#else
+  (void)existed;
 #endif
   obs::gauge("net.loop.watched_fds").set(static_cast<double>(watchers_.size()));
 }
@@ -180,14 +194,12 @@ std::size_t EventLoop::dispatch_epoll(int timeout_ms) {
   cached_now_ms_ = wall_now_ms();
   std::size_t dispatched = 0;
   for (int i = 0; i < n; ++i) {
-    // Re-resolve per event: an earlier callback this round may have
-    // unwatched (and closed) this fd. Invoke a copy so a callback that
-    // unwatches *itself* does not destroy the closure mid-execution.
-    const auto it = watchers_.find(events[i].data.fd);
-    if (it == watchers_.end()) continue;
-    FdCallback cb = it->second;
-    cb();
-    ++dispatched;
+    const std::uint32_t flags = events[i].events;
+    const bool failed = (flags & (EPOLLERR | EPOLLHUP)) != 0;
+    if (dispatch_fd(events[i].data.fd, failed || (flags & EPOLLIN) != 0,
+                    failed || (flags & EPOLLOUT) != 0)) {
+      ++dispatched;
+    }
   }
   if (dispatched) obs::counter("net.loop.fd_dispatches").inc(static_cast<double>(dispatched));
   return dispatched;
@@ -201,8 +213,10 @@ std::size_t EventLoop::dispatch_poll(int timeout_ms) {
   if (pollfds_dirty_) {
     pollfds_.clear();
     pollfds_.reserve(watchers_.size());
-    for (const auto& [fd, callback] : watchers_) {
-      pollfds_.push_back(pollfd{fd, POLLIN, 0});
+    for (const auto& [fd, watcher] : watchers_) {
+      const short events = static_cast<short>((watcher.on_read ? POLLIN : 0) |
+                                              (watcher.on_write ? POLLOUT : 0));
+      pollfds_.push_back(pollfd{fd, events, 0});
     }
     pollfds_dirty_ = false;
   }
@@ -219,15 +233,40 @@ std::size_t EventLoop::dispatch_poll(int timeout_ms) {
   // Iterate a stable index range: callbacks may flag pollfds_ dirty but
   // the vector itself is only rebuilt at the top of the next wait.
   for (std::size_t i = 0; i < pollfds_.size(); ++i) {
-    if ((pollfds_[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-    const auto it = watchers_.find(pollfds_[i].fd);
-    if (it == watchers_.end()) continue;  // unwatched mid-round
-    FdCallback cb = it->second;  // copy: self-unwatch during the call is safe
-    cb();
-    ++dispatched;
+    const short revents = pollfds_[i].revents;
+    const bool failed = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    if (dispatch_fd(pollfds_[i].fd, failed || (revents & POLLIN) != 0,
+                    failed || (revents & POLLOUT) != 0)) {
+      ++dispatched;
+    }
   }
   if (dispatched) obs::counter("net.loop.fd_dispatches").inc(static_cast<double>(dispatched));
   return dispatched;
+}
+
+bool EventLoop::dispatch_fd(int fd, bool readable, bool writable) {
+  // Re-resolve before each callback: an earlier callback this round may
+  // have dropped an interest or unwatched (and closed) the fd. Invoke a
+  // copy so a callback that drops its *own* interest does not destroy the
+  // closure mid-execution.
+  bool ran = false;
+  if (readable) {
+    const auto it = watchers_.find(fd);
+    if (it != watchers_.end() && it->second.on_read) {
+      FdCallback cb = it->second.on_read;
+      cb();
+      ran = true;
+    }
+  }
+  if (writable) {
+    const auto it = watchers_.find(fd);
+    if (it != watchers_.end() && it->second.on_write) {
+      FdCallback cb = it->second.on_write;
+      cb();
+      ran = true;
+    }
+  }
+  return ran;
 }
 
 std::size_t EventLoop::run_once(Millis max_wait_ms) {

@@ -1,5 +1,8 @@
 // Single-writer event loop: readiness-driven fd watchers plus a
 // hierarchical timer wheel, replacing the server's fixed 20 ms poll tick.
+// An fd may carry read interest, write interest, or both; write interest
+// is how an outbox (net/outbox.h) waits for a full socket buffer to drain
+// without blocking the loop.
 //
 // Ownership rules (see DESIGN.md "Event-driven core"):
 //   - Exactly one thread runs the loop; every watcher and timer callback
@@ -50,7 +53,12 @@ class EventLoop {
   /// Registers `on_ready` to run whenever `fd` is readable. One watcher
   /// per fd; re-watching an fd replaces its callback.
   void watch_fd(int fd, FdCallback on_ready);
-  /// Unregisters an fd. Must be called before closing a watched fd.
+  /// Write interest: while set, `on_writable` runs whenever `fd` can take
+  /// more bytes (or reports an error or hang-up). Independent of read
+  /// interest; an empty callback clears it. Leave it off while nothing is
+  /// waiting to be written: a writable socket is ready on every round.
+  void set_write_interest(int fd, FdCallback on_writable);
+  /// Drops both interests. Must be called before closing a watched fd.
   void unwatch_fd(int fd);
   bool watching(int fd) const { return watchers_.count(fd) > 0; }
   std::size_t watched_fds() const { return watchers_.size(); }
@@ -85,6 +93,11 @@ class EventLoop {
 
  private:
   struct RepeatState;
+  /// The interests registered on one fd; an fd with neither is removed.
+  struct Watcher {
+    FdCallback on_read;
+    FdCallback on_write;
+  };
 
   /// Schedules the next firing of the repeating timer `handle`.
   void arm_repeat(TimerId handle);
@@ -93,10 +106,15 @@ class EventLoop {
   std::size_t dispatch_poll(int timeout_ms);
   std::size_t dispatch_epoll(int timeout_ms);
   void drain_posted();
+  /// Pushes `fd`'s interest set to the backend (add, modify or remove).
+  void update_interest(int fd, bool existed);
+  /// Runs `fd`'s callbacks for one readiness report, re-resolving the
+  /// watcher between them (the read callback may drop either interest).
+  bool dispatch_fd(int fd, bool readable, bool writable);
 
   Backend backend_;
   TimerWheel wheel_;
-  std::unordered_map<int, FdCallback> watchers_;
+  std::unordered_map<int, Watcher> watchers_;
   // Repeating timers: handle -> state holding the live wheel arming.
   std::unordered_map<TimerId, std::shared_ptr<RepeatState>> repeats_;
   TimerId next_repeat_handle_;

@@ -8,19 +8,23 @@
 
 namespace cwc::net {
 
+std::array<std::uint8_t, 4> frame_header(std::size_t size) {
+  if (size > kMaxFrameBytes) throw std::runtime_error("frame too large");
+  const auto length = static_cast<std::uint32_t>(size);
+  return {static_cast<std::uint8_t>(length), static_cast<std::uint8_t>(length >> 8),
+          static_cast<std::uint8_t>(length >> 16), static_cast<std::uint8_t>(length >> 24)};
+}
+
 void write_frame(TcpConnection& conn, std::span<const std::uint8_t> payload) {
-  if (payload.size() > kMaxFrameBytes) throw std::runtime_error("frame too large");
-  std::uint8_t header[4];
-  const auto size = static_cast<std::uint32_t>(payload.size());
-  header[0] = static_cast<std::uint8_t>(size);
-  header[1] = static_cast<std::uint8_t>(size >> 8);
-  header[2] = static_cast<std::uint8_t>(size >> 16);
-  header[3] = static_cast<std::uint8_t>(size >> 24);
-  conn.send_all(std::span<const std::uint8_t>(header, 4));
-  conn.send_all(payload);
+  const auto header = frame_header(payload.size());
+  conn.send_all(header, payload);
 }
 
 void FrameDecoder::feed(std::span<const std::uint8_t> data) {
+  if (consumed_ > 0) {
+    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
+    consumed_ = 0;
+  }
   if (const fault::FaultAction action = fault::check(fault::FaultPoint::kFrameDecode);
       action && !data.empty()) {
     // kCorrupt flips a bit inside the incoming chunk: if it lands in a
@@ -41,16 +45,16 @@ void FrameDecoder::feed(std::span<const std::uint8_t> data) {
 }
 
 std::optional<std::vector<std::uint8_t>> FrameDecoder::pop() {
-  if (buffer_.size() < 4) return std::nullopt;
-  const std::uint32_t size = static_cast<std::uint32_t>(buffer_[0]) |
-                             (static_cast<std::uint32_t>(buffer_[1]) << 8) |
-                             (static_cast<std::uint32_t>(buffer_[2]) << 16) |
-                             (static_cast<std::uint32_t>(buffer_[3]) << 24);
+  if (buffered_bytes() < 4) return std::nullopt;
+  const std::uint8_t* head = buffer_.data() + consumed_;
+  const std::uint32_t size = static_cast<std::uint32_t>(head[0]) |
+                             (static_cast<std::uint32_t>(head[1]) << 8) |
+                             (static_cast<std::uint32_t>(head[2]) << 16) |
+                             (static_cast<std::uint32_t>(head[3]) << 24);
   if (size > kMaxFrameBytes) throw std::runtime_error("oversized frame: corrupted stream");
-  if (buffer_.size() < 4 + static_cast<std::size_t>(size)) return std::nullopt;
-  std::vector<std::uint8_t> frame(buffer_.begin() + 4,
-                                  buffer_.begin() + 4 + static_cast<std::ptrdiff_t>(size));
-  buffer_.erase(buffer_.begin(), buffer_.begin() + 4 + static_cast<std::ptrdiff_t>(size));
+  if (buffered_bytes() < 4 + static_cast<std::size_t>(size)) return std::nullopt;
+  std::vector<std::uint8_t> frame(head + 4, head + 4 + size);
+  consumed_ += 4 + static_cast<std::size_t>(size);
   return frame;
 }
 

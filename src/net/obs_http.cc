@@ -243,10 +243,7 @@ void ObsHttpServer::attach(EventLoop& loop) {
     for (const auto& [fd, scrape] : pending_) {
       if (now - scrape.accepted_ms > 5000.0) stale.push_back(fd);
     }
-    for (const int fd : stale) {
-      loop_->unwatch_fd(fd);
-      pending_.erase(fd);
-    }
+    for (const int fd : stale) close_attached(fd);
   });
 }
 
@@ -257,8 +254,7 @@ void ObsHttpServer::detach() {
     loop_->cancel(sweep_timer_);
     sweep_timer_ = kInvalidTimer;
   }
-  for (const auto& [fd, scrape] : pending_) loop_->unwatch_fd(fd);
-  pending_.clear();
+  while (!pending_.empty()) close_attached(pending_.begin()->first);
   loop_ = nullptr;
 }
 
@@ -267,10 +263,9 @@ void ObsHttpServer::accept_attached() {
     while (auto conn = listener_.accept()) {
       conn->set_nonblocking(true);
       const int fd = conn->fd();
-      Pending scrape;
+      Pending& scrape = pending_[fd];
       scrape.conn = std::move(*conn);
       scrape.accepted_ms = loop_->now_ms();
-      pending_.emplace(fd, std::move(scrape));
       loop_->watch_fd(fd, [this, fd] { service_attached(fd); });
     }
   } catch (const std::exception& e) {
@@ -297,15 +292,39 @@ void ObsHttpServer::service_attached(int fd) {
              scrape.request.find("\r\n\r\n") != std::string::npos ||
              scrape.request.find("\n\n") != std::string::npos;
     }
-    if (done) respond(scrape.conn, scrape.request);
   } catch (const std::exception& e) {
     log_warn("obs-http") << "request failed: " << e.what();
     dead = true;
   }
-  if (done || dead) {
-    loop_->unwatch_fd(fd);
-    pending_.erase(it);
+  if (done && !dead) {
+    auto response = respond(scrape.request);
+    if (!response.empty()) {
+      // The request is in: stop reading, and let the loop write whatever
+      // the socket does not take at once.
+      loop_->unwatch_fd(fd);
+      const auto finish = [this, fd] { finish_attached(fd); };
+      scrape.response = std::make_unique<Outbox>(*loop_, scrape.conn, finish, finish);
+      scrape.response->send_bytes(
+          std::make_shared<const std::vector<std::uint8_t>>(std::move(response)));
+      if (!scrape.response->empty() && !scrape.response->failed()) return;
+    }
   }
+  if (done || dead) close_attached(fd);
+}
+
+void ObsHttpServer::finish_attached(int fd) {
+  const auto it = pending_.find(fd);
+  if (it == pending_.end() || !it->second.response) return;
+  if (it->second.response->empty() || it->second.response->failed()) close_attached(fd);
+}
+
+void ObsHttpServer::close_attached(int fd) {
+  const auto it = pending_.find(fd);
+  if (it == pending_.end()) return;
+  // The outbox lets go of the loop before the socket closes.
+  it->second.response.reset();
+  loop_->unwatch_fd(fd);
+  pending_.erase(it);
 }
 
 void ObsHttpServer::handle_connection(TcpConnection conn) {
@@ -319,12 +338,13 @@ void ObsHttpServer::handle_connection(TcpConnection conn) {
     if (!data || data->empty()) break;
     request.append(data->begin(), data->end());
   }
-  respond(conn, request);
+  const auto response = respond(request);
+  if (!response.empty()) conn.send_all(response);
 }
 
-void ObsHttpServer::respond(TcpConnection& conn, const std::string& request) {
+std::vector<std::uint8_t> ObsHttpServer::respond(const std::string& request) {
   const std::size_t line_end = request.find('\n');
-  if (line_end == std::string::npos) return;
+  if (line_end == std::string::npos) return {};
   const std::string line = request.substr(0, line_end);
   // "GET <path> HTTP/1.x"
   HttpResponse response{400, "text/plain; charset=utf-8", "bad request\n"};
@@ -339,13 +359,16 @@ void ObsHttpServer::respond(TcpConnection& conn, const std::string& request) {
   const char* reason = response.status == 200   ? "OK"
                        : response.status == 404 ? "Not Found"
                                                 : "Bad Request";
-  std::string head = "HTTP/1.1 " + std::to_string(response.status) + " " + reason +
-                     "\r\nContent-Type: " + response.content_type +
-                     "\r\nContent-Length: " + std::to_string(response.body.size()) +
-                     "\r\nConnection: close\r\n\r\n";
-  head += response.body;
-  conn.send_all({reinterpret_cast<const std::uint8_t*>(head.data()), head.size()});
+  const std::string head = "HTTP/1.1 " + std::to_string(response.status) + " " + reason +
+                           "\r\nContent-Type: " + response.content_type +
+                           "\r\nContent-Length: " + std::to_string(response.body.size()) +
+                           "\r\nConnection: close\r\n\r\n";
+  std::vector<std::uint8_t> out;
+  out.reserve(head.size() + response.body.size());
+  out.insert(out.end(), head.begin(), head.end());
+  out.insert(out.end(), response.body.begin(), response.body.end());
   requests_served_.fetch_add(1, std::memory_order_relaxed);
+  return out;
 }
 
 }  // namespace cwc::net

@@ -18,23 +18,26 @@
 //   attach(loop)   — the listener and every in-flight scrape become
 //                    watchers on the caller's EventLoop; scrapes are
 //                    served on the loop thread between fleet events, so
-//                    a process needs no second thread at all.
+//                    a process needs no second thread at all. Responses
+//                    leave through an outbox (net/outbox.h), so a scraper
+//                    that reads slowly never blocks the loop.
 // cwc_top and the CI smoke leg are the intended clients, not the open
 // internet — bind it to loopback (the default) unless you know better.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
+#include "net/outbox.h"
 #include "net/socket.h"
 #include "net/timer_wheel.h"
 
 namespace cwc::net {
-
-class EventLoop;
 
 /// Renders the global registries (obs::MetricsRegistry + obs::LatencyRegistry)
 /// in Prometheus text exposition format. Metric names are sanitized
@@ -78,18 +81,25 @@ class ObsHttpServer {
 
  private:
   /// One in-flight attached-mode scrape, keyed by fd while its request
-  /// head trickles in.
+  /// head trickles in and its response drains.
   struct Pending {
     TcpConnection conn;
     std::string request;
     Millis accepted_ms = 0.0;
+    std::unique_ptr<Outbox> response;  ///< set once the request is in
   };
 
   void serve_loop();
   void handle_connection(TcpConnection conn);
   void accept_attached();
   void service_attached(int fd);
-  void respond(TcpConnection& conn, const std::string& request);
+  /// Posted by a scrape's outbox: closes the scrape once its response is
+  /// out or its write failed.
+  void finish_attached(int fd);
+  void close_attached(int fd);
+  /// The whole HTTP response to `request` (empty when the request line is
+  /// incomplete: nothing is sent). Counts the request as served.
+  std::vector<std::uint8_t> respond(const std::string& request);
 
   TcpListener listener_;
   std::thread thread_;

@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace cwc::net {
@@ -10,6 +11,13 @@ BufferWriter begin(MsgType type) {
   BufferWriter w;
   w.write_u8(static_cast<std::uint8_t>(type));
   return w;
+}
+
+/// A count read off the wire, capped by how many `element_bytes`-sized
+/// elements the rest of the frame can hold: a hostile count then costs a
+/// BufferUnderflow, not a huge allocation.
+std::size_t reserve_bound(const BufferReader& r, std::uint32_t count, std::size_t element_bytes) {
+  return std::min<std::size_t>(count, r.remaining() / element_bytes);
 }
 
 BufferReader open(const Blob& frame, MsgType expected) {
@@ -53,7 +61,7 @@ RegisterMsg decode_register(const Blob& frame) {
   if (r.remaining() >= 8) msg.cache_budget_bytes = r.read_u64();
   if (r.remaining() >= 4) {
     const std::uint32_t count = r.read_u32();
-    msg.cache_manifest.reserve(count);
+    msg.cache_manifest.reserve(reserve_bound(r, count, 8));
     for (std::uint32_t i = 0; i < count; ++i) msg.cache_manifest.push_back(r.read_u64());
   }
   return msg;
@@ -159,7 +167,7 @@ AssignPieceMsg decode_assign_piece(const Blob& frame) {
     msg.chunked = true;
     const auto read_chunks = [&r](std::vector<ChunkWire>& chunks) {
       const std::uint32_t count = r.read_u32();
-      chunks.reserve(count);
+      chunks.reserve(reserve_bound(r, count, 17));
       for (std::uint32_t i = 0; i < count; ++i) {
         ChunkWire chunk;
         chunk.id = r.read_u64();
@@ -171,7 +179,7 @@ AssignPieceMsg decode_assign_piece(const Blob& frame) {
     read_chunks(msg.exec_chunks);
     read_chunks(msg.input_chunks);
     const std::uint32_t fragments = r.read_u32();
-    msg.input_fragments.reserve(fragments);
+    msg.input_fragments.reserve(reserve_bound(r, fragments, 16));
     for (std::uint32_t i = 0; i < fragments; ++i) {
       const std::uint64_t begin = r.read_u64();
       const std::uint64_t end = r.read_u64();
@@ -328,7 +336,7 @@ ChunkRequestMsg decode_chunk_request(const Blob& frame) {
   msg.piece = r.read_i32();
   msg.attempt = r.read_i32();
   const std::uint32_t count = r.read_u32();
-  msg.missing.reserve(count);
+  msg.missing.reserve(reserve_bound(r, count, 8));
   for (std::uint32_t i = 0; i < count; ++i) msg.missing.push_back(r.read_u64());
   return msg;
 }

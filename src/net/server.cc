@@ -25,10 +25,15 @@ std::size_t snap_forward(const Blob& data, std::size_t pos, std::size_t end) {
 }
 
 /// All server sends flow through here so frame/byte counters stay exact.
-void send_frame(TcpConnection& conn, const Blob& payload) {
-  write_frame(conn, payload);
+/// Never throws: a failed write drops the connection after the round.
+void send_frame(Outbox& outbox, Outbox::Payload payload, Millis extra_delay_ms = 0.0) {
   obs::counter("net.server.frames_sent").inc();
-  obs::counter("net.server.bytes_sent").inc(static_cast<double>(payload.size()));
+  obs::counter("net.server.bytes_sent").inc(static_cast<double>(payload->size()));
+  outbox.send_frame(std::move(payload), extra_delay_ms);
+}
+
+void send_frame(Outbox& outbox, Blob payload) {
+  send_frame(outbox, std::make_shared<const Blob>(std::move(payload)));
 }
 }  // namespace
 
@@ -79,7 +84,6 @@ CwcServer::CwcServer(std::unique_ptr<core::Scheduler> scheduler,
   obs::counter("net.server.rpc_timeouts");
   obs::counter("net.server.journal_errors");
   obs::counter("net.send_stall_ms");
-  set_send_stall_budget_ms(config_.send_stall_budget_ms);
   // Content-addressed shipping counters, pre-registered so cache-less runs
   // (legacy agents, --chunk-kb 0) export them zero-valued too.
   obs::counter("cache.hit_kb");
@@ -215,8 +219,8 @@ std::map<JobId, JobId> CwcServer::recover_from(const std::string& journal_path) 
 void CwcServer::accept_new_connections() {
   while (auto conn = listener_.accept()) {
     conn->set_nonblocking(true);
-    auto connection = std::make_unique<Connection>();
-    connection->conn = std::move(*conn);
+    auto connection = std::make_unique<Connection>(loop_, std::move(*conn),
+                                                   [this] { drop_failed_connections(); });
     connection->connected_ms = now_ms_;
     // unique_ptr gives the Connection a stable address, so the watcher and
     // timer closures may capture it raw; teardown_connection unregisters
@@ -232,6 +236,7 @@ void CwcServer::accept_new_connections() {
 }
 
 void CwcServer::teardown_connection(Connection& c) {
+  c.outbox.close();
   if (c.conn.valid()) loop_.unwatch_fd(c.conn.fd());
   cancel_assign_retry(c);
   if (c.rpc_timer != kInvalidTimer) {
@@ -275,7 +280,7 @@ void CwcServer::service_connection(Connection& c) {
       obs::counter("net.server.bytes_received").inc(static_cast<double>(data->size()));
       c.decoder.feed(*data);
     }
-    while (c.conn.valid()) {
+    while (c.conn.valid() && !c.outbox.failed()) {
       const auto frame = c.decoder.pop();
       if (!frame) break;
       handle_frame(c, *frame);
@@ -333,7 +338,7 @@ void CwcServer::handle_frame(Connection& c, const Blob& frame) {
         locality_.detach_directory(msg.phone);
         chunk_dirs_.erase(msg.phone);
       }
-      send_frame(c.conn, encode(RegisterAckMsg{true, epoch_}));
+      send_frame(c.outbox, encode(RegisterAckMsg{true, epoch_}));
       start_probe(c);
       break;
     }
@@ -405,10 +410,9 @@ void CwcServer::start_probe(Connection& c) {
   ProbeRequestMsg request;
   request.chunks = config_.probe_chunks;
   request.chunk_bytes = config_.probe_chunk_bytes;
-  send_frame(c.conn, encode(request));
-  for (std::uint32_t i = 0; i < request.chunks; ++i) {
-    send_frame(c.conn, encode_probe_data(request.chunk_bytes));
-  }
+  send_frame(c.outbox, encode(request));
+  const auto chunk = std::make_shared<const Blob>(encode_probe_data(request.chunk_bytes));
+  for (std::uint32_t i = 0; i < request.chunks; ++i) send_frame(c.outbox, chunk);
   c.probing = true;
   c.last_probe_ms = now_ms_;
   c.reprobe_due = false;
@@ -457,11 +461,7 @@ void CwcServer::on_reprobe_due(Connection& c) {
   if (!c.conn.valid() || !c.registered) return;
   now_ms_ = loop_.now_ms();
   if (c.ready && !busy(c) && !c.probing) {
-    try {
-      start_probe(c);
-    } catch (const SocketError&) {
-      drop_connection(c, /*lost=*/true);
-    }
+    start_probe(c);
   } else {
     // Busy at the deadline: probe at the next idle transition instead.
     c.reprobe_due = true;
@@ -471,11 +471,7 @@ void CwcServer::on_reprobe_due(Connection& c) {
 void CwcServer::maybe_reprobe(Connection& c) {
   if (!c.reprobe_due || !c.conn.valid() || !c.ready || busy(c) || c.probing) return;
   c.reprobe_due = false;
-  try {
-    start_probe(c);
-  } catch (const SocketError&) {
-    drop_connection(c, /*lost=*/true);
-  }
+  start_probe(c);
 }
 
 CwcServer::Fragments CwcServer::carve_slice(JobState& job, Kilobytes kb) {
@@ -530,30 +526,22 @@ void CwcServer::assign_next_piece(Connection& c) {
   // Keep the encoded frame so the retry timer can re-deliver it verbatim
   // (same piece_seq and (piece, attempt) identity → idempotent on the
   // agent side).
-  c.assign_frame = encode(msg);
+  c.assign_frame = std::make_shared<const Blob>(encode(msg));
   c.assign_sent_ms = now_ms_;
   c.assign_retries = 0;
   bool deliver = true;
+  Millis delay_ms = 0.0;
   if (const fault::FaultAction action = fault::check(fault::FaultPoint::kAssignPiece)) {
     if (action.kind == fault::FaultAction::Kind::kDrop) {
       deliver = false;  // frame lost in flight; the retry timer recovers
     } else if (action.kind == fault::FaultAction::Kind::kDelay) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(action.delay_ms));
+      delay_ms = action.delay_ms;  // the frame leaves late; the loop does not wait
     } else {
       drop_connection(c, /*lost=*/true);
       return;
     }
   }
-  if (deliver) {
-    try {
-      send_frame(c.conn, c.assign_frame);
-    } catch (const SocketError& e) {
-      log_warn("cwc-server") << "assignment send to phone " << c.phone
-                             << " failed: " << e.what();
-      drop_connection(c, /*lost=*/true);
-      return;
-    }
-  }
+  if (deliver) send_frame(c.outbox, c.assign_frame, delay_ms);
   // Armed even when the injected fault swallowed the frame: re-delivery is
   // exactly how a lost assignment recovers.
   arm_assign_retry(c);
@@ -599,19 +587,12 @@ void CwcServer::cancel_attempt(PhoneId phone, const core::Attempt& attempt) {
   if (loser == nullptr) return;
   // The engine has already cleared the attempt, so if the send fails
   // drop_connection's lost-handling cannot return fragments that the
-  // winning report is about to bank.
-  loser->assign_frame.clear();
+  // winning report is about to bank; the agent's stale report, if any, is
+  // arbitrated away by the engine.
+  loser->assign_frame.reset();
   cancel_assign_retry(*loser);
-  try {
-    send_frame(loser->conn, encode(CancelPieceMsg{loser->piece_seq, attempt.identity.piece,
+  send_frame(loser->outbox, encode(CancelPieceMsg{loser->piece_seq, attempt.identity.piece,
                                                   attempt.identity.attempt}));
-  } catch (const SocketError& e) {
-    // The agent will notice the dead socket and reconnect; its stale
-    // report, if any, is arbitrated away by the engine.
-    log_warn("cwc-server") << "cancel send to phone " << phone << " failed: " << e.what();
-    teardown_connection(*loser);
-    return;
-  }
   maybe_reprobe(*loser);
 }
 
@@ -641,20 +622,16 @@ bool CwcServer::ship_backup(PhoneId backup_id, PhoneId primary_id,
   // The backup re-executes the primary's exact byte ranges from scratch
   // (breakable pieces carry no checkpoint).
   backup.piece_fragments = find_connection(primary_id)->piece_fragments;
-  backup.assign_frame =
+  backup.assign_frame = std::make_shared<const Blob>(
       encode(new_assignment(backup, jobs_.at(attempt.job), attempt.identity,
                             controller_.executable_cached(backup_id, attempt.job),
-                            backup.piece_fragments));
+                            backup.piece_fragments)));
   backup.assign_sent_ms = now_ms_;
   backup.assign_retries = 0;
-  try {
-    send_frame(backup.conn, backup.assign_frame);
-  } catch (const SocketError& e) {
-    log_warn("cwc-server") << "backup launch to phone " << backup_id
-                           << " failed: " << e.what();
-    drop_connection(backup, /*lost=*/true);
-    return false;
-  }
+  send_frame(backup.outbox, backup.assign_frame);
+  // A write that failed at once drops the connection after this round:
+  // launch nothing on it.
+  if (backup.outbox.failed()) return false;
   arm_assign_retry(backup);
   return true;
 }
@@ -718,7 +695,7 @@ void CwcServer::on_complete(Connection& c, const PieceCompleteMsg& msg) {
   // report), the live counterpart of the sim's ship+execute spans.
   obs::latency("server.assign_report_ms")
       .record(now_ms_ - lifecycle_.running(c.phone)->started_ms);
-  c.assign_frame.clear();
+  c.assign_frame.reset();
   cancel_assign_retry(c);
   JobState& job = jobs_.at(msg.job);
   job.partials.push_back(msg.partial_result);
@@ -757,7 +734,7 @@ void CwcServer::on_failed(Connection& c, const PieceFailedMsg& msg) {
   }
   ++failures_received_;
   obs::counter("net.server.failures_received").inc();
-  c.assign_frame.clear();
+  c.assign_frame.reset();
   cancel_assign_retry(c);
   if (!lifecycle_.fail(c.phone, now_ms_)) {
     // A backup failed: the original is still running, so nothing is
@@ -915,12 +892,11 @@ void CwcServer::chunk_assignment(Connection& c, AssignPieceMsg& msg, const JobSt
 }
 
 void CwcServer::on_chunk_request(Connection& c, const ChunkRequestMsg& msg) {
-  if (!report_matches_inflight(c, msg.piece_seq, msg.piece, msg.attempt) ||
-      c.assign_frame.empty()) {
+  if (!report_matches_inflight(c, msg.piece_seq, msg.piece, msg.attempt) || !c.assign_frame) {
     obs::counter("net.server.stale_reports").inc();
     return;
   }
-  AssignPieceMsg assign = decode_assign_piece(c.assign_frame);
+  AssignPieceMsg assign = decode_assign_piece(*c.assign_frame);
   if (!assign.chunked) return;
   const std::set<ChunkId> missing(msg.missing.begin(), msg.missing.end());
   JobState& job = jobs_.at(assign.job);
@@ -957,7 +933,7 @@ void CwcServer::on_chunk_request(Connection& c, const ChunkRequestMsg& msg) {
     for (const ChunkId id : msg.missing) dir->second.insert(id);
   }
 
-  c.assign_frame = encode(assign);
+  c.assign_frame = std::make_shared<const Blob>(encode(assign));
   c.assign_sent_ms = now_ms_;
   obs::counter("cache.refetch_kb").inc(reshipped_kb);
   if (obs::trace_enabled()) {
@@ -975,13 +951,7 @@ void CwcServer::on_chunk_request(Connection& c, const ChunkRequestMsg& msg) {
   log_info("cwc-server") << "phone " << c.phone << " re-fetched " << msg.missing.size()
                          << " chunks (" << reshipped_kb << " KB) for piece "
                          << assign.trace_piece;
-  try {
-    send_frame(c.conn, c.assign_frame);
-  } catch (const SocketError& e) {
-    log_warn("cwc-server") << "chunk re-ship to phone " << c.phone << " failed: " << e.what();
-    drop_connection(c, /*lost=*/true);
-    return;
-  }
+  send_frame(c.outbox, c.assign_frame);
   // The re-ship restarts the current re-delivery interval.
   arm_assign_retry(c);
 }
@@ -989,7 +959,8 @@ void CwcServer::on_chunk_request(Connection& c, const ChunkRequestMsg& msg) {
 void CwcServer::drop_connection(Connection& c, bool lost) {
   if (!c.conn.valid()) return;
   if (lost && c.registered) {
-    ++phones_lost_;
+    phones_lost_.fetch_add(1, std::memory_order_relaxed);
+    ++losses_by_phone_[c.phone];
     obs::counter("net.server.phones_lost").inc();
     if (const core::Attempt* attempt = lifecycle_.running(c.phone)) {
       // Nothing was reported: a primary's whole in-flight slice returns to
@@ -1009,10 +980,20 @@ void CwcServer::drop_connection(Connection& c, bool lost) {
   teardown_connection(c);
   c.ready = false;
   c.probing = false;
-  c.assign_frame.clear();
+  c.assign_frame.reset();
   // Dropping the last outstanding phone can flip the controller to
   // all-done (e.g. a speculative backup dies after the primary reported).
   check_run_complete();
+}
+
+void CwcServer::drop_failed_connections() {
+  now_ms_ = loop_.now_ms();
+  for (auto& connection : connections_) {
+    Connection& c = *connection;
+    if (!c.conn.valid() || !c.outbox.failed()) continue;
+    log_warn("cwc-server") << "send to phone " << c.phone << " failed; dropping the connection";
+    drop_connection(c, /*lost=*/true);
+  }
 }
 
 void CwcServer::send_keepalives(double) {
@@ -1065,20 +1046,16 @@ void CwcServer::send_keepalives(double) {
         action.kind == fault::FaultAction::Kind::kDrop) {
       continue;
     }
-    try {
-      send_frame(c.conn, encode_keepalive(seq));
-      c.keepalive_sent_at = Clock::now();
-      obs::counter("net.server.keepalives_sent").inc();
-      if (obs::trace_enabled()) {
-        obs::TraceEvent event;
-        event.type = obs::TraceEventType::kKeepAliveSent;
-        event.t = obs::trace_now();
-        event.phone = c.phone;
-        event.value = static_cast<double>(seq);
-        obs::trace_record(event);
-      }
-    } catch (const SocketError&) {
-      drop_connection(c, /*lost=*/true);
+    send_frame(c.outbox, encode_keepalive(seq));
+    c.keepalive_sent_at = Clock::now();
+    obs::counter("net.server.keepalives_sent").inc();
+    if (obs::trace_enabled()) {
+      obs::TraceEvent event;
+      event.type = obs::TraceEventType::kKeepAliveSent;
+      event.t = obs::trace_now();
+      event.phone = c.phone;
+      event.value = static_cast<double>(seq);
+      obs::trace_record(event);
     }
   }
   // The keep-alive tick is the fleet's natural telemetry cadence: refresh
@@ -1159,7 +1136,7 @@ void CwcServer::arm_assign_retry(Connection& c) {
 void CwcServer::on_assign_retry(Connection& c) {
   c.retry_timer = kInvalidTimer;
   now_ms_ = loop_.now_ms();
-  if (!c.conn.valid() || !busy(c) || c.assign_frame.empty()) return;
+  if (!c.conn.valid() || !busy(c) || !c.assign_frame) return;
   if (c.assign_retries >= config_.assign_max_retries) {
     log_warn("cwc-server") << "phone " << c.phone << " unresponsive after "
                            << c.assign_retries << " assignment retries; declaring lost";
@@ -1172,12 +1149,7 @@ void CwcServer::on_assign_retry(Connection& c) {
   if (c.registered) controller_.health().on_deadline_hit(c.phone);
   log_info("cwc-server") << "re-delivering assignment to phone " << c.phone << " (retry "
                          << c.assign_retries << ")";
-  try {
-    send_frame(c.conn, c.assign_frame);
-  } catch (const SocketError&) {
-    drop_connection(c, /*lost=*/true);
-    return;
-  }
+  send_frame(c.outbox, c.assign_frame);
   arm_assign_retry(c);  // next interval doubles
 }
 
@@ -1218,12 +1190,11 @@ void CwcServer::check_run_complete() {
   if (run_complete_ || !first_schedule_done_) return;
   if (!all_jobs_done() || !controller_.all_done()) return;
   if (!shutdown_sent_) {
+    // Teardown closes each outbox, which writes the notice at once.
+    const auto shutdown = std::make_shared<const Blob>(encode_shutdown());
     for (auto& connection : connections_) {
       if (connection->conn.valid()) {
-        try {
-          send_frame(connection->conn, encode_shutdown());
-        } catch (const SocketError&) {
-        }
+        send_frame(connection->outbox, shutdown);
         teardown_connection(*connection);
       }
     }

@@ -7,10 +7,14 @@
 // keep-alives, and scheduling instants. Every deadline — keep-alive ticks,
 // assignment re-delivery, RPC timeouts, re-probe alarms — lives on the
 // loop's timer wheel, so the server sleeps exactly until the next event
-// and per-iteration work is O(ready), not O(fleet). All policy lives in
-// the embedded CwcController and PieceLifecycle — the identical brain the
-// discrete-event simulator drives — so the wire deployment validates the
-// protocol and the simulator scales the policy.
+// and per-iteration work is O(ready), not O(fleet). Every send goes
+// through the connection's outbox (net/outbox.h): link latency and pacing
+// become release times and a full socket buffer becomes write interest,
+// so the loop never sleeps or blocks on one phone while the others wait.
+// A failed write drops its connection after the dispatch round. All
+// policy lives in the embedded CwcController and PieceLifecycle — the
+// identical brain the discrete-event simulator drives — so the wire
+// deployment validates the protocol and the simulator scales the policy.
 //
 // Byte-level input management: the controller schedules pieces in KB; the
 // server carves each job's actual input into record-aligned slices as
@@ -38,6 +42,7 @@
 #include "net/event_loop.h"
 #include "net/framing.h"
 #include "net/journal.h"
+#include "net/outbox.h"
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "tasks/registry.h"
@@ -89,10 +94,6 @@ struct ServerConfig {
   /// handler): run() returns at the next loop iteration when the pointed-to
   /// flag becomes true, so callers can flush metrics and traces cleanly.
   const std::atomic<bool>* stop = nullptr;
-  /// POLLOUT budget applied to every send (see net::set_send_stall_budget_ms;
-  /// process-wide, the ctor installs it). Slow-link soak legs shrink it so
-  /// wedged peers surface in seconds, not half a minute.
-  int send_stall_budget_ms = 30'000;
   /// TESTING ONLY — re-enables the pre-PR-4 stale-ack bug: completion
   /// reports that fail the (piece, attempt) in-flight match are banked
   /// anyway, double-aggregating replayed results. Exists so the soak
@@ -141,7 +142,12 @@ class CwcServer {
 
   /// Diagnostics.
   std::size_t probes_sent() const { return probes_sent_; }
-  std::size_t phones_lost() const { return phones_lost_; }
+  /// Times any phone was declared lost; safe to poll from another thread
+  /// while run() is live.
+  std::size_t phones_lost() const { return phones_lost_.load(std::memory_order_relaxed); }
+  /// The same per phone (phones never lost are absent). Read it on the
+  /// loop thread or after run() returns.
+  const std::map<PhoneId, std::size_t>& losses_by_phone() const { return losses_by_phone_; }
   std::size_t failures_received() const { return failures_received_; }
   std::size_t scheduling_rounds() const { return scheduling_rounds_; }
   std::size_t speculative_launches() const { return lifecycle_.stats().launched; }
@@ -170,7 +176,11 @@ class CwcServer {
   };
 
   struct Connection {
+    Connection(EventLoop& loop, TcpConnection accepted, EventLoop::Task on_send_failed)
+        : conn(std::move(accepted)), outbox(loop, conn, std::move(on_send_failed)) {}
+
     TcpConnection conn;
+    Outbox outbox;  ///< every send to this phone; closed by teardown
     FrameDecoder decoder;
     PhoneId phone = kInvalidPhone;
     bool registered = false;
@@ -199,8 +209,9 @@ class CwcServer {
     AgentStats last_stats;
     /// In-flight assignment for idempotent re-delivery: the encoded frame
     /// is kept until its report arrives so a retry timer can re-send it
-    /// verbatim (same piece_seq, same (piece, attempt) identity).
-    Blob assign_frame;
+    /// verbatim (same piece_seq, same (piece, attempt) identity). Shared
+    /// with the outbox, so a re-send queues no copy.
+    Outbox::Payload assign_frame;
     double assign_sent_ms = 0.0;  ///< run-clock time of the last (re)send
     int assign_retries = 0;
     double connected_ms = 0.0;    ///< run-clock time the socket was accepted
@@ -255,6 +266,9 @@ class CwcServer {
   /// chunks force-shipped.
   void on_chunk_request(Connection& c, const ChunkRequestMsg& msg);
   void drop_connection(Connection& c, bool lost);
+  /// Posted by an outbox whose write failed: drops every connection whose
+  /// outbox has failed, now that no handler of the round is using it.
+  void drop_failed_connections();
   /// Straggler check: measures batch progress over input bytes and lets
   /// the lifecycle engine launch backups.
   void maybe_speculate();
@@ -271,8 +285,9 @@ class CwcServer {
   void publish_phone_gauges(const Connection& c);
   /// Rolls the per-connection stats blocks up into `fleet.*` gauges.
   void publish_fleet_gauges();
-  /// Unwatches, cancels this connection's timers, closes the socket, and
-  /// posts a reap of invalid connections for after the dispatch round.
+  /// Closes the outbox, unwatches, cancels this connection's timers,
+  /// closes the socket, and posts a reap of invalid connections for after
+  /// the dispatch round.
   void teardown_connection(Connection& c);
   void request_reap();
   /// Assignment re-delivery timer (see assign_retry_period): armed on
@@ -330,7 +345,8 @@ class CwcServer {
   std::unique_ptr<Journal> journal_;
   std::uint64_t epoch_ = 0;  ///< per-run nonce (see epoch())
   std::size_t probes_sent_ = 0;
-  std::size_t phones_lost_ = 0;
+  std::atomic<std::size_t> phones_lost_{0};
+  std::map<PhoneId, std::size_t> losses_by_phone_;
   std::size_t failures_received_ = 0;
   std::size_t scheduling_rounds_ = 0;
   double now_ms_ = 0.0;  ///< run-clock time of the current loop iteration

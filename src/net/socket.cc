@@ -6,10 +6,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -18,16 +18,18 @@
 #include "common/fault.h"
 #include "common/link_fault.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace cwc::net {
 
 namespace {
-std::atomic<int> g_send_stall_budget_ms{30'000};
+/// How long a blocking send_all may wait for a peer that takes no bytes
+/// before it gives up: a dead-but-connected server must not hang an agent
+/// thread forever.
+constexpr int kBlockingSendStallMs = 30'000;
 
-/// Applies the non-payload-altering fault kinds shared by every socket
-/// site: kDelay stalls, kReset throws as a peer reset. Payload-shaping
-/// kinds (kDrop, kPartial) are interpreted by each call site.
+/// Applies the fault kinds the connect and recv sites share: kDelay
+/// stalls, kReset throws as a peer reset. kDrop is interpreted by each
+/// site; writes go through decide_send instead.
 void apply_common_fault(const fault::FaultAction& action, const char* site) {
   switch (action.kind) {
     case fault::FaultAction::Kind::kDelay:
@@ -40,12 +42,6 @@ void apply_common_fault(const fault::FaultAction& action, const char* site) {
   }
 }
 }  // namespace
-
-void set_send_stall_budget_ms(int budget_ms) {
-  g_send_stall_budget_ms.store(std::max(budget_ms, 100), std::memory_order_relaxed);
-}
-
-int send_stall_budget_ms() { return g_send_stall_budget_ms.load(std::memory_order_relaxed); }
 
 short poll_one(int fd, short events, int timeout_ms) {
   pollfd pfd{fd, events, 0};
@@ -127,70 +123,91 @@ TcpConnection TcpConnection::connect_ipv4(const std::string& address, std::uint1
   return conn;
 }
 
-void TcpConnection::send_all(std::span<const std::uint8_t> data) {
+SendDecision TcpConnection::decide_send(std::size_t bytes) const {
+  SendDecision decision;
+  decision.limit = bytes;
   // The link fault plane sits "under" the point faults: it models the
   // network itself. Enforcement is sender-side only — every byte of a
-  // loopback deployment leaves through an instrumented send_all, so
+  // loopback deployment leaves through an instrumented send path, so
   // dropping here realizes asymmetric partitions exactly (the reverse
   // direction consults its own rule set on its own sender).
   if (fault::link_enabled() && link_peer_ != kInvalidPhone) {
-    const auto decision = fault::LinkFaultPlane::global().on_send(
-        link_peer_, /*toward_phone=*/link_server_side_, data.size());
-    if (decision.delay_ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(decision.delay_ms));
+    const auto link = fault::LinkFaultPlane::global().on_send(
+        link_peer_, /*toward_phone=*/link_server_side_, bytes);
+    if (link.drop) {
+      decision.drop = true;  // the partition eats the whole frame
+      return decision;
     }
-    if (decision.drop) return;  // the partition eats the whole frame
+    decision.delay_ms = link.delay_ms;
   }
   if (const fault::FaultAction action = fault::check(fault::FaultPoint::kSocketWrite)) {
-    if (action.kind == fault::FaultAction::Kind::kDrop) return;  // bytes vanish
-    if (action.kind == fault::FaultAction::Kind::kPartial) {
-      const auto cut = static_cast<std::size_t>(
-          static_cast<double>(data.size()) * std::clamp(action.fraction, 0.0, 1.0));
-      if (cut > 0) send_all_raw(data.subspan(0, cut));
-      throw SocketError("injected fault: partial write", ECONNRESET);
+    switch (action.kind) {
+      case fault::FaultAction::Kind::kDrop:
+        decision.drop = true;  // bytes vanish
+        break;
+      case fault::FaultAction::Kind::kPartial:
+        decision.limit = static_cast<std::size_t>(static_cast<double>(bytes) *
+                                                  std::clamp(action.fraction, 0.0, 1.0));
+        decision.reset = true;  // torn frame, then reset
+        break;
+      case fault::FaultAction::Kind::kReset:
+        decision.limit = 0;
+        decision.reset = true;
+        break;
+      case fault::FaultAction::Kind::kDelay:
+        decision.delay_ms += action.delay_ms;
+        break;
+      default:
+        break;
     }
-    apply_common_fault(action, "send");
   }
-  send_all_raw(data);
+  return decision;
 }
 
-void TcpConnection::send_all_raw(std::span<const std::uint8_t> data) {
-  // How long a full socket buffer may stall one send before the peer is
-  // declared wedged. Sends block the single-writer loop, so a bound keeps
-  // one dead-but-connected peer from freezing the whole fleet forever.
-  const int stall_budget_ms = send_stall_budget_ms();
-  int stalled_ms = 0;
-  bool stall_traced = false;
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd_.get(), data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Non-blocking fd with a full send buffer: wait for drain in
-        // bounded slices rather than surfacing a spurious hard error.
-        constexpr int kSliceMs = 100;
-        if (stalled_ms >= stall_budget_ms) throw SocketError("send (stalled peer)", ETIMEDOUT);
-        poll_one(fd_.get(), POLLOUT, kSliceMs);
-        stalled_ms += kSliceMs;
-        obs::counter("net.send_stall_ms").inc(kSliceMs);
-        if (!stall_traced && obs::trace_enabled()) {
-          stall_traced = true;  // one event per stalled send, not per slice
-          obs::TraceEvent event;
-          event.type = obs::TraceEventType::kSendStalled;
-          event.t = obs::trace_now();
-          event.phone = link_peer_;
-          event.value = static_cast<double>(stalled_ms);
-          obs::trace_record(event);
-        }
-        continue;
-      }
-      throw SocketError("send", errno);
-    }
-    stalled_ms = 0;
-    sent += static_cast<std::size_t>(n);
+std::size_t TcpConnection::write_some(std::span<const std::uint8_t> head,
+                                      std::span<const std::uint8_t> body, std::size_t from,
+                                      std::size_t to) {
+  if (from >= to) return 0;
+  iovec iov[2];
+  std::size_t count = 0;
+  if (from < head.size()) {
+    const std::size_t end = std::min(to, head.size());
+    iov[count++] = {const_cast<std::uint8_t*>(head.data() + from), end - from};
   }
+  if (to > head.size()) {
+    const std::size_t skip = from > head.size() ? from - head.size() : 0;
+    iov[count++] = {const_cast<std::uint8_t*>(body.data() + skip), to - head.size() - skip};
+  }
+  msghdr message{};
+  message.msg_iov = iov;
+  message.msg_iovlen = count;
+  while (true) {
+    const ssize_t n = ::sendmsg(fd_.get(), &message, MSG_NOSIGNAL);
+    if (n >= 0) return static_cast<std::size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
+    throw SocketError("send", errno);
+  }
+}
+
+void TcpConnection::send_all(std::span<const std::uint8_t> head,
+                             std::span<const std::uint8_t> body) {
+  const SendDecision decision = decide_send(head.size() + body.size());
+  // A blocking sender pays its link's latency and pacing on its own thread
+  // (an agent's uplink stalls that agent, nothing else).
+  if (decision.delay_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(decision.delay_ms));
+  }
+  if (decision.drop) return;
+  std::size_t sent = 0;
+  while (sent < decision.limit) {
+    const std::size_t n = write_some(head, body, sent, decision.limit);
+    if (n == 0 && poll_one(fd_.get(), POLLOUT, kBlockingSendStallMs) == 0) {
+      throw SocketError("send (stalled peer)", ETIMEDOUT);
+    }
+    sent += n;
+  }
+  if (decision.reset) throw SocketError("injected fault: send", ECONNRESET);
 }
 
 std::optional<std::vector<std::uint8_t>> TcpConnection::recv_some(std::size_t max) {

@@ -19,17 +19,20 @@
 
 namespace cwc::net {
 
-/// POLLOUT budget for one send_all: how long a send may sit fully blocked
-/// on an unresponsive peer before it throws (default 30 s). Process-wide
-/// because sockets outlive any one config object; cwc_server exposes it as
-/// --send-stall-budget-ms and slow-link soak legs lower it on purpose.
-void set_send_stall_budget_ms(int budget_ms);
-int send_stall_budget_ms();
-
 class SocketError : public std::system_error {
  public:
   SocketError(const std::string& what, int err)
       : std::system_error(err, std::generic_category(), what) {}
+};
+
+/// One frame's fate on its link, decided once per frame by both send
+/// paths (blocking send_all and the server's outbox): what the link fault
+/// plane (common/link_fault.h) and the `socket_write` fault point say.
+struct SendDecision {
+  bool drop = false;      ///< the frame vanishes (partition, burst loss, injected drop)
+  Millis delay_ms = 0.0;  ///< link latency and pacing plus any injected delay
+  std::size_t limit = 0;  ///< bytes of the frame to write (an injected partial cuts it)
+  bool reset = false;     ///< once `limit` bytes are out, the connection resets
 };
 
 /// Owns a file descriptor; move-only.
@@ -66,7 +69,23 @@ class TcpConnection {
   int fd() const { return fd_.get(); }
 
   /// Blocking send of the whole buffer; throws SocketError on failure.
-  void send_all(std::span<const std::uint8_t> data);
+  void send_all(std::span<const std::uint8_t> data) { send_all(data, {}); }
+  /// Blocking send of `head` then `body` (a frame's length prefix and
+  /// payload) with one link/fault decision for the pair and one gathered
+  /// write per attempt. Link delays sleep the calling thread; a peer that
+  /// takes nothing for 30 s throws. For blocking clients only: the server
+  /// sends through its outboxes.
+  void send_all(std::span<const std::uint8_t> head, std::span<const std::uint8_t> body);
+
+  /// Asks the link plane and the `socket_write` fault point about one
+  /// outgoing frame of `bytes` bytes. Consumes link credit and fault hits.
+  SendDecision decide_send(std::size_t bytes) const;
+  /// One gathered write of bytes [from, to) of `head` followed by `body`:
+  /// returns how many the kernel took, 0 when a non-blocking socket's
+  /// buffer is full. Throws SocketError on a real error (reset, EPIPE).
+  /// No link plane, no faults.
+  std::size_t write_some(std::span<const std::uint8_t> head, std::span<const std::uint8_t> body,
+                         std::size_t from, std::size_t to);
 
   /// Reads up to `max` bytes. Returns empty vector on orderly shutdown.
   /// In non-blocking mode returns nullopt when no data is available.
@@ -89,10 +108,6 @@ class TcpConnection {
   PhoneId link_peer() const { return link_peer_; }
 
  private:
-  /// send_all without the fault-injection check (used to emit the prefix
-  /// of an injected partial write).
-  void send_all_raw(std::span<const std::uint8_t> data);
-
   FileDescriptor fd_;
   PhoneId link_peer_ = kInvalidPhone;
   bool link_server_side_ = false;

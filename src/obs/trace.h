@@ -77,8 +77,8 @@ enum class TraceEventType : std::uint8_t {
   kLinkPartition,        ///< link fault plane: a link direction went dark
                          ///< (phone = affected link, t = plane time)
   kLinkHeal,             ///< link fault plane: a dark link came back
-  kSendStalled,          ///< a send_all slice blocked on POLLOUT
-                         ///< (value = stalled ms so far, phone = peer)
+  kSendStalled,          ///< an outbox held due bytes the kernel refused
+                         ///< (value = ms until they drained, phone = peer)
 };
 
 /// Number of distinct TraceEventType values (for tables and validation).

@@ -80,6 +80,7 @@ struct LiveRun {
   std::vector<net::Blob> results;  ///< one per job, submission order
   double wall_s = 0.0;
   std::size_t quarantined = 0;  ///< phones quarantined when the run ended
+  std::map<PhoneId, std::size_t> losses;  ///< phone -> times declared lost
 };
 
 net::ServerConfig live_config(const RunOptions& options, const std::string& journal) {
@@ -139,6 +140,7 @@ LiveRun run_live_once(const std::vector<LiveJob>& jobs, const RunOptions& option
   const auto begin = std::chrono::steady_clock::now();
   run.completed = server.run(options.phones, seconds(timeout_s));
   run.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+  run.losses = server.losses_by_phone();
   for (int i = 0; i < options.phones; ++i) {
     if (server.controller().health().quarantined(static_cast<PhoneId>(i + 1))) {
       ++run.quarantined;
@@ -300,6 +302,17 @@ SoakVerdict run_live(const SoakSchedule& schedule, const RunOptions& options) {
     if (!check_against_reference(reference, storm, "storm", Invariant::kByteMismatch,
                                  verdict)) {
       return verdict;
+    }
+    if (const auto named = schedule.named_phones()) {
+      for (const auto& [phone, losses] : storm.losses) {
+        if (named->count(phone) != 0) continue;
+        verdict.violated = Invariant::kHealthyPeerLost;
+        verdict.detail = "storm declared phone " + std::to_string(phone) + " lost " +
+                         std::to_string(losses) +
+                         " times, though no rule names it (a slow peer cost a healthy "
+                         "peer its liveness)";
+        return verdict;
+      }
     }
     const double envelope = options.makespan_envelope * std::max(reference.wall_s, 1.0);
     if (storm.wall_s > envelope) {

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/link_fault.h"
 #include "common/rng.h"
 #include "common/strings.h"
 
@@ -102,6 +103,7 @@ const char* invariant_name(Invariant invariant) {
     case Invariant::kNonConvergence: return "non_convergence";
     case Invariant::kQuarantineStarvation: return "quarantine_starvation";
     case Invariant::kMakespanExceeded: return "makespan_exceeded";
+    case Invariant::kHealthyPeerLost: return "healthy_peer_lost";
   }
   return "?";
 }
@@ -109,6 +111,17 @@ const char* invariant_name(Invariant invariant) {
 std::string SoakSchedule::point_spec() const { return join_events(events, /*link=*/false); }
 
 std::string SoakSchedule::link_spec() const { return join_events(events, /*link=*/true); }
+
+std::optional<std::set<PhoneId>> SoakSchedule::named_phones() const {
+  if (kill_server || churn > 0 || !point_spec().empty()) return std::nullopt;
+  std::set<PhoneId> named;
+  if (link_spec().empty()) return named;
+  for (const fault::LinkRule& rule : fault::parse_link_spec(link_spec())) {
+    if (rule.phone == kInvalidPhone) return std::nullopt;
+    named.insert(rule.phone);
+  }
+  return named;
+}
 
 std::string SoakSchedule::to_text() const {
   std::string text;

@@ -29,6 +29,11 @@
 //                             quarantined — parole/probe liveness is broken
 //   14 kMakespanExceeded      the run completed but blew the makespan
 //                             envelope relative to the fault-free reference
+//   15 kHealthyPeerLost       live, under a schedule whose rules all target
+//                             specific phones (link rules only, no '*', no
+//                             kill, no churn): a phone no rule names was
+//                             declared lost — a slow peer cost a healthy
+//                             peer its liveness
 //
 // When a schedule fails, shrink() bisects its event list ddmin-style —
 // re-running the schedule with chunks of events removed and keeping any
@@ -40,8 +45,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
+
+#include "common/types.h"
 
 namespace cwc::soak {
 
@@ -54,12 +63,13 @@ enum class Invariant : std::uint8_t {
   kNonConvergence,
   kQuarantineStarvation,
   kMakespanExceeded,
+  kHealthyPeerLost,
 };
 
 /// Stable machine name ("byte_mismatch", ...), for artifacts and logs.
 const char* invariant_name(Invariant invariant);
 
-/// Process exit code for a verdict: 0, or 10..14 per the catalog above.
+/// Process exit code for a verdict: 0, or 10..15 per the catalog above.
 constexpr int exit_code(Invariant invariant) {
   switch (invariant) {
     case Invariant::kNone: return 0;
@@ -68,6 +78,7 @@ constexpr int exit_code(Invariant invariant) {
     case Invariant::kNonConvergence: return 12;
     case Invariant::kQuarantineStarvation: return 13;
     case Invariant::kMakespanExceeded: return 14;
+    case Invariant::kHealthyPeerLost: return 15;
   }
   return 1;
 }
@@ -87,6 +98,10 @@ struct SoakSchedule {
   std::string point_spec() const;
   /// ';'-joined "link:" events (fault::parse_link_spec input).
   std::string link_spec() const;
+  /// The phones the rules name when every rule targets a specific phone:
+  /// link rules only, none on '*', no server kill and no churn. Every
+  /// other phone is then healthy (kHealthyPeerLost). nullopt otherwise.
+  std::optional<std::set<PhoneId>> named_phones() const;
 
   /// Line-oriented artifact form (seed=, kill_server=, churn=, event=
   /// lines; '#' comments ignored on parse). parse(to_text()) == *this.
@@ -143,9 +158,10 @@ struct RunOptions {
   bool verbose = false;
 };
 
-/// Live substrate: reference -> storm (byte-compared) -> optional journal
-/// recovery leg. Resets and disarms the global injector and link plane on
-/// entry and exit.
+/// Live substrate: reference -> storm (byte-compared; under a schedule
+/// that targets specific phones, no other phone may be lost) -> optional
+/// journal recovery leg. Resets and disarms the global injector and link
+/// plane on entry and exit.
 SoakVerdict run_live(const SoakSchedule& schedule, const RunOptions& options = {});
 
 /// Sim substrate: reference -> storm (makespan envelope) -> same-seed

@@ -1,14 +1,18 @@
 // Event loop unit suite, run against both backends: watcher dispatch over
-// a socketpair, timer fire/cancel, repeating timers, post() ordering, and
-// the self-unwatch-during-dispatch case the server's teardown path relies
-// on (a callback destroying its own registration must not crash the loop).
+// a socketpair, write interest (alone, beside read interest, and waiting
+// out a full send buffer), timer fire/cancel, repeating timers, post()
+// ordering, and the self-unwatch-during-dispatch case the server's
+// teardown path relies on (a callback destroying its own registration
+// must not crash the loop).
 #include "net/event_loop.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
+#include <cerrno>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -193,6 +197,101 @@ TEST_P(EventLoopTest, SleepsUntilTimerDeadlineNotFixedTick) {
   // plus dispatch), not the ~2000 a 20 us busy tick would show. Generous
   // bound: spurious wakes are fine, a fixed-tick regression is not.
   EXPECT_LT(loop.wakeups(), 20u);
+}
+
+/// Makes `fd` non-blocking and writes until its send buffer is full.
+void fill_send_buffer(int fd) {
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK), 0);
+  const std::vector<char> chunk(64 * 1024, 'x');
+  while (::write(fd, chunk.data(), chunk.size()) > 0) {
+  }
+  ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
+}
+
+TEST_P(EventLoopTest, WriteInterestFiresWhileWritableUntilCleared) {
+  EventLoop loop(GetParam());
+  SocketPair pair;
+  int writable = 0;
+  // Write interest alone registers the fd: no read watcher needed.
+  loop.set_write_interest(pair.a, [&] { ++writable; });
+  EXPECT_TRUE(loop.watching(pair.a));
+  EXPECT_GE(loop.run_once(1'000.0), 1u);
+  EXPECT_EQ(writable, 1);
+  // Level-triggered: an idle socket is writable on every round.
+  loop.run_once(1'000.0);
+  EXPECT_EQ(writable, 2);
+  // Clearing the only interest removes the fd.
+  loop.set_write_interest(pair.a, {});
+  EXPECT_FALSE(loop.watching(pair.a));
+  EXPECT_EQ(loop.run_once(5.0), 0u);
+  EXPECT_EQ(writable, 2);
+}
+
+TEST_P(EventLoopTest, WriteInterestWaitsForAFullBufferToDrain) {
+  EventLoop loop(GetParam());
+  SocketPair pair;
+  fill_send_buffer(pair.a);
+  int writable = 0;
+  loop.set_write_interest(pair.a, [&] {
+    ++writable;
+    loop.set_write_interest(pair.a, {});  // one-shot, as an outbox does
+  });
+  EXPECT_EQ(loop.run_once(20.0), 0u);
+  EXPECT_EQ(writable, 0);
+  // The reader drains: the writer's callback runs once, then stays off.
+  char sink[64 * 1024];
+  while (::recv(pair.b, sink, sizeof sink, MSG_DONTWAIT) > 0) {
+  }
+  for (int i = 0; i < 100 && writable == 0; ++i) loop.run_once(10.0);
+  EXPECT_EQ(writable, 1);
+  EXPECT_EQ(loop.run_once(5.0), 0u);
+  EXPECT_EQ(writable, 1);
+}
+
+TEST_P(EventLoopTest, ReadAndWriteInterestDispatchIndependently) {
+  EventLoop loop(GetParam());
+  SocketPair pair;
+  std::vector<std::string> order;
+  loop.watch_fd(pair.a, [&] {
+    pair.drain(pair.a);
+    order.push_back("read");
+  });
+  loop.set_write_interest(pair.a, [&] {
+    order.push_back("write");
+    loop.set_write_interest(pair.a, {});
+  });
+  pair.poke(pair.b);
+  loop.run_once(1'000.0);
+  // One readiness report delivers both, read first.
+  EXPECT_EQ(order, (std::vector<std::string>{"read", "write"}));
+  // Clearing write interest keeps the read watcher.
+  EXPECT_TRUE(loop.watching(pair.a));
+  pair.poke(pair.b);
+  loop.run_once(1'000.0);
+  EXPECT_EQ(order.back(), "read");
+  EXPECT_EQ(order.size(), 3u);
+  // unwatch_fd() drops both interests.
+  loop.set_write_interest(pair.a, [&] { order.push_back("write"); });
+  loop.unwatch_fd(pair.a);
+  EXPECT_FALSE(loop.watching(pair.a));
+  EXPECT_EQ(loop.run_once(5.0), 0u);
+  EXPECT_EQ(order.size(), 3u);
+}
+
+TEST_P(EventLoopTest, ReadCallbackDroppingWriteInterestSuppressesIt) {
+  EventLoop loop(GetParam());
+  SocketPair pair;
+  int writes = 0;
+  loop.watch_fd(pair.a, [&] {
+    pair.drain(pair.a);
+    loop.set_write_interest(pair.a, {});
+  });
+  loop.set_write_interest(pair.a, [&] { ++writes; });
+  pair.poke(pair.b);
+  loop.run_once(1'000.0);
+  // Readable and writable in the same round, but the read callback
+  // cleared write interest first.
+  EXPECT_EQ(writes, 0);
 }
 
 TEST_P(EventLoopTest, BackendNameMatchesRequest) {

@@ -48,6 +48,28 @@ TEST(FrameDecoder, EmptyFrameIsValid) {
   EXPECT_TRUE(frame->empty());
 }
 
+TEST(FrameDecoder, PartialFramesStraddleFeedsAfterPops) {
+  FrameDecoder decoder;
+  // One whole frame plus half of the next one's length prefix.
+  decoder.feed(Blob{1, 0, 0, 0, 0xAA, 3, 0});
+  EXPECT_EQ(*decoder.pop(), (Blob{0xAA}));
+  EXPECT_FALSE(decoder.pop().has_value());
+  EXPECT_EQ(decoder.buffered_bytes(), 2u);
+  // The rest of the prefix and part of the payload: still incomplete.
+  decoder.feed(Blob{0, 0, 0x11});
+  EXPECT_FALSE(decoder.pop().has_value());
+  EXPECT_EQ(decoder.buffered_bytes(), 5u);
+  // The payload's tail plus the first bytes of a third frame.
+  decoder.feed(Blob{0x22, 0x33, 2, 0, 0, 0, 0x44});
+  EXPECT_EQ(*decoder.pop(), (Blob{0x11, 0x22, 0x33}));
+  EXPECT_FALSE(decoder.pop().has_value());
+  EXPECT_EQ(decoder.buffered_bytes(), 5u);
+  decoder.feed(Blob{0x55});
+  EXPECT_EQ(*decoder.pop(), (Blob{0x44, 0x55}));
+  EXPECT_FALSE(decoder.pop().has_value());
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
+}
+
 TEST(FrameDecoder, OversizedFrameThrows) {
   FrameDecoder decoder;
   decoder.feed(Blob{0xFF, 0xFF, 0xFF, 0xFF});

@@ -6,6 +6,7 @@
 // soak-schedule and churn spec parsers that read command-line input.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
 #include <string>
@@ -41,21 +42,37 @@ void must_not_crash(Fn&& fn) {
   }
 }
 
+/// Stricter, for the wire decoders: a frame may decode or throw
+/// std::runtime_error, the type the server turns into a dropped
+/// connection. Anything else escapes this helper and fails the test — a
+/// std::bad_alloc from reserving a hostile count would end the server.
+template <typename Fn>
+void must_reject_cleanly(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error&) {
+    // expected for malformed input
+  }
+}
+
 class ProtocolFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ProtocolFuzz, RandomBytesNeverCrashDecoders) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761ULL + 17);
   for (int round = 0; round < 500; ++round) {
     const Blob blob = random_blob(rng, 256);
-    must_not_crash([&] { (void)decode_register(blob); });
-    must_not_crash([&] { (void)decode_register_ack(blob); });
-    must_not_crash([&] { (void)decode_probe_request(blob); });
-    must_not_crash([&] { (void)decode_probe_report(blob); });
-    must_not_crash([&] { (void)decode_assign_piece(blob); });
-    must_not_crash([&] { (void)decode_piece_complete(blob); });
-    must_not_crash([&] { (void)decode_piece_failed(blob); });
-    must_not_crash([&] { (void)decode_keepalive(blob); });
-    must_not_crash([&] { (void)peek_type(blob); });
+    must_reject_cleanly([&] { (void)decode_register(blob); });
+    must_reject_cleanly([&] { (void)decode_register_ack(blob); });
+    must_reject_cleanly([&] { (void)decode_probe_request(blob); });
+    must_reject_cleanly([&] { (void)decode_probe_report(blob); });
+    must_reject_cleanly([&] { (void)decode_assign_piece(blob); });
+    must_reject_cleanly([&] { (void)decode_piece_complete(blob); });
+    must_reject_cleanly([&] { (void)decode_piece_failed(blob); });
+    must_reject_cleanly([&] { (void)decode_keepalive(blob); });
+    must_reject_cleanly([&] { (void)decode_keepalive_ack_stats(blob); });
+    must_reject_cleanly([&] { (void)decode_cancel_piece(blob); });
+    must_reject_cleanly([&] { (void)decode_chunk_request(blob); });
+    must_reject_cleanly([&] { (void)peek_type(blob); });
   }
 }
 
@@ -72,7 +89,7 @@ TEST_P(ProtocolFuzz, TruncatedValidFramesThrowCleanly) {
   const Blob valid = encode(msg);
   for (std::size_t len = 0; len < valid.size(); ++len) {
     Blob truncated(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(len));
-    must_not_crash([&] { (void)decode_assign_piece(truncated); });
+    must_reject_cleanly([&] { (void)decode_assign_piece(truncated); });
   }
   // The full frame must decode.
   EXPECT_EQ(decode_assign_piece(valid).task_name, "prime-count");
@@ -95,6 +112,40 @@ TEST_P(ProtocolFuzz, FrameDecoderSurvivesGarbageStreams) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzz, ::testing::Range(0, 6));
+
+/// Overwrites the u32 count `from_end` bytes before the end of `frame`.
+Blob with_count(Blob frame, std::size_t from_end, std::uint32_t count) {
+  BufferWriter w;
+  w.write_u32(count);
+  const Blob bytes = w.take();
+  std::copy(bytes.begin(), bytes.end(), frame.end() - static_cast<std::ptrdiff_t>(from_end));
+  return frame;
+}
+
+// A count of 0xFFFFFFFF followed by no elements: each decoder must run out
+// of frame (BufferUnderflow) instead of reserving room for 4 billion
+// elements first.
+TEST(HostileCount, RegisterManifestThrowsUnderflow) {
+  const Blob frame = with_count(encode(RegisterMsg{}), 4, 0xFFFFFFFFu);
+  EXPECT_THROW((void)decode_register(frame), BufferUnderflow);
+}
+
+TEST(HostileCount, AssignPieceChunkListsAndFragmentsThrowUnderflow) {
+  AssignPieceMsg msg;
+  msg.task_name = "prime-count";
+  msg.chunked = true;  // empty exec chunks, input chunks and fragments close the frame
+  const Blob valid = encode(msg);
+  for (const std::size_t from_end : {12u, 8u, 4u}) {
+    SCOPED_TRACE("count " + std::to_string(from_end) + " bytes from the end");
+    const Blob frame = with_count(valid, from_end, 0xFFFFFFFFu);
+    EXPECT_THROW((void)decode_assign_piece(frame), BufferUnderflow);
+  }
+}
+
+TEST(HostileCount, ChunkRequestMissingThrowsUnderflow) {
+  const Blob frame = with_count(encode(ChunkRequestMsg{}), 4, 0xFFFFFFFFu);
+  EXPECT_THROW((void)decode_chunk_request(frame), BufferUnderflow);
+}
 
 TEST(DecoderFuzz, CorruptedCheckpointsAndTablesThrow) {
   Rng rng(77);

@@ -1,7 +1,9 @@
 // Live telemetry plane, end to end: a real CwcServer with real PhoneAgents
 // over loopback, an ObsHttpServer exposing the registries, and a raw HTTP
 // client (the same framing cwc_top uses) asserting that keep-alive RTT
-// histograms and per-phone gauges show up in /metrics mid-run.
+// histograms and per-phone gauges show up in /metrics mid-run, and that an
+// attached endpoint writes a large response to a slow scraper without
+// blocking its loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +20,7 @@
 #include "net/phone_agent.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "tasks/generators.h"
 
 namespace cwc::net {
@@ -184,6 +187,54 @@ TEST(TelemetryLive, AgentStatsReachPhoneGauges) {
   EXPECT_NE(body.find("cwc_phone_charging{phone=\"0\"}"), std::string::npos) << body;
   EXPECT_NE(body.find("cwc_phone_replay_depth{phone=\"0\"}"), std::string::npos);
   EXPECT_NE(body.find("cwc_phone_in_flight{phone=\"0\"}"), std::string::npos);
+}
+
+TEST(TelemetryLive, AttachedScrapeLargerThanTheSocketBuffersDrainsOnTheLoop) {
+  // Long gauge names make a /metrics body of ~8 MB, more than the kernel
+  // buffers for a scraper that is not reading yet: the attached server
+  // must write it through the scrape's outbox while its loop keeps
+  // turning, then close the connection.
+  const std::string padding(32 * 1024, 'x');
+  for (int i = 0; i < 128; ++i) {
+    obs::gauge("test.attached_scrape." + std::to_string(i) + "." + padding).set(i);
+  }
+  EventLoop loop;
+  ObsHttpServer obs(0);
+  obs.attach(loop);
+  int ticks = 0;
+  const TimerId tick = loop.every(5.0, [&] { ++ticks; });
+  const double stalled_before = obs::counter("net.send_stall_ms").value();
+
+  std::atomic<bool> done{false};
+  std::string response;
+  std::thread scraper([&] {
+    TcpConnection conn = TcpConnection::connect_local(obs.port());
+    const std::string request = "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n";
+    conn.send_all({reinterpret_cast<const std::uint8_t*>(request.data()), request.size()});
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));  // a slow reader
+    while (true) {
+      const auto chunk = conn.recv_some();
+      if (!chunk || chunk->empty()) break;
+      response.append(reinterpret_cast<const char*>(chunk->data()), chunk->size());
+    }
+    done.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) loop.run_once(5.0);
+  scraper.join();
+  loop.cancel(tick);
+  obs.detach();
+
+  ASSERT_TRUE(done.load());
+  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
+  EXPECT_GT(response.size(), 8'000'000u);
+  EXPECT_NE(body_of(response).find("cwc_test_attached_scrape_127_" + padding + " 127\n"),
+            std::string::npos);
+  EXPECT_EQ(obs.requests_served(), 1u);
+  // The loop served its timers while the scraper was not reading, and the
+  // outbox recorded how long the response sat refused.
+  EXPECT_GE(ticks, 10);
+  EXPECT_GT(obs::counter("net.send_stall_ms").value(), stalled_before);
 }
 
 }  // namespace

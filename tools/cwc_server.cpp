@@ -81,9 +81,6 @@ constexpr const char* kUsage = R"(cwc_server: the CWC central server
                        score reaches X (default 0.8)
   --health-parole-ticks=N  scheduling instants a quarantined phone sits out
                        before parole (default 3)
-  --send-stall-budget-ms=N  max total time a single send may block on a
-                       full socket buffer before the peer is declared
-                       unreachable (default 30000; slow-link drills lower it)
   --link-spec=SPEC     arm the link fault plane, e.g.
                        "link:phone=3:partition@t=10s,dur=5s;link:*:slow@rate=1mbps"
                        (grammar in src/common/link_fault.h; shares --fault-seed).
@@ -158,7 +155,7 @@ int main(int argc, char** argv) try {
                      "straggler-factor",
                      "spec-fraction", "health-alpha", "health-quarantine",
                      "health-parole-ticks", "fault-spec", "fault-seed", "link-spec",
-                     "send-stall-budget-ms", "metrics-out",
+                     "metrics-out",
                      "metrics-interval-ms", "timeseries-out", "obs-port",
                      "trace-out", "verbose", "help"});
   if (!unknown.empty() || flags.get_bool("help")) {
@@ -184,8 +181,6 @@ int main(int argc, char** argv) try {
   config.health.alpha = flags.get_double("health-alpha", 0.3);
   config.health.quarantine_threshold = flags.get_double("health-quarantine", 0.8);
   config.health.parole_after_ticks = static_cast<int>(flags.get_int("health-parole-ticks", 3));
-  config.send_stall_budget_ms =
-      static_cast<int>(flags.get_int("send-stall-budget-ms", 30'000));
 
   if (flags.has("fault-spec")) {
     try {

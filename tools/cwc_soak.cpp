@@ -63,6 +63,8 @@ Exit status (shared with cwc_chaos, see src/soak/soak.h):
   12  non-convergence: journal replay or same-seed re-run diverged
   13  quarantine starvation: the whole fleet wedged in quarantine
   14  makespan envelope exceeded
+  15  healthy peer lost: under a live schedule whose rules all target
+      specific phones, a phone no rule names was declared lost
   130 interrupted by signal
 )";
 
