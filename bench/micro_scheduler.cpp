@@ -1,17 +1,21 @@
 // Microbenchmarks (google-benchmark) for the scheduling stack: greedy
 // packing cost vs fleet/workload size, the capacity binary search, the LP
-// relaxation solve, and the prediction model's hot paths. These quantify
-// the paper's claim that "the scheduling algorithms executed on the server
-// are lightweight, and thus, a rudimentary low cost PC will suffice".
+// relaxation solve, and the prediction model's hot paths; plus the
+// server's CRC-32 and submit path. These quantify the paper's claim that
+// "the scheduling algorithms executed on the server are lightweight, and
+// thus, a rudimentary low cost PC will suffice".
 #include <benchmark/benchmark.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <span>
 
+#include "common/crc32.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "core/failure_aware.h"
@@ -23,11 +27,13 @@
 #include "lp/simplex.h"
 #include "net/framing.h"
 #include "net/protocol.h"
+#include "net/server.h"
 #include "net/timer_wheel.h"
 #include "obs/latency_hist.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
+#include "tasks/generators.h"
 
 namespace {
 
@@ -520,6 +526,65 @@ void BM_PredictionObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictionObserve);
+
+// CRC-32 throughput at the sizes the server hashes: a 2 KB input chunk, a
+// full 64 KB grid chunk, and a 1 MB journal record of a bulk submit.
+void BM_Crc32(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  Rng rng(3);
+  std::vector<std::uint8_t> data(bytes);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (auto _ : state) benchmark::DoNotOptimize(crc32(data));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32)->Arg(2 * 1024)->Arg(64 * 1024)->Arg(1024 * 1024);
+
+// The submit loop of a 12k-job batch of 2 KB inputs in the four-task mix
+// of the live loopback benchmark, journal on: per job, the controller's
+// bookkeeping, the input's chunk grid and locality manifest, and the
+// journal's submit record. The server is built outside the clock.
+void BM_ServerSubmit(benchmark::State& state) {
+  constexpr std::size_t kJobs = 12'000;
+  const std::vector<std::string> mix = {"prime-count", "word-count:error",
+                                        "log-scan:disk failure", "sales-aggregate"};
+  Rng rng(5);
+  std::vector<net::Blob> inputs;
+  inputs.reserve(kJobs);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    switch (i % mix.size()) {
+      case 0: inputs.push_back(tasks::make_integer_input(rng, 2.0)); break;
+      case 1: inputs.push_back(tasks::make_text_input(rng, 2.0, "error")); break;
+      case 2: inputs.push_back(tasks::make_log_input(rng, 2.0, "disk failure")); break;
+      default: inputs.push_back(tasks::make_sales_input(rng, 2.0)); break;
+    }
+  }
+  const tasks::TaskRegistry registry = tasks::TaskRegistry::with_builtins();
+  net::ServerConfig config;
+  config.journal_path = (std::filesystem::temp_directory_path() /
+                         ("cwc_bench_submit_" + std::to_string(::getpid()) + ".cwcj"))
+                            .string();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::remove(config.journal_path.c_str());
+    std::vector<net::Blob> batch = inputs;
+    auto server = std::make_unique<net::CwcServer>(std::make_unique<core::GreedyScheduler>(),
+                                                   core::paper_prediction(), &registry, config);
+    state.ResumeTiming();
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      benchmark::DoNotOptimize(server->submit(mix[i % mix.size()], std::move(batch[i])));
+    }
+    state.PauseTiming();
+    server.reset();
+    state.ResumeTiming();
+  }
+  std::remove(config.journal_path.c_str());
+  state.counters["per_job"] = benchmark::Counter(
+      static_cast<double>(kJobs), benchmark::Counter::kIsIterationInvariantRate |
+                                      benchmark::Counter::kInvert);
+  state.SetLabel("12k jobs x 2 KB, 4-task mix, journal on");
+}
+BENCHMARK(BM_ServerSubmit)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -25,6 +25,15 @@ std::vector<ChunkRef> chunks_covering(std::span<const std::uint8_t> blob,
   return refs;
 }
 
+const ExecutableImage& ExecutableImages::of_size(std::size_t bytes) {
+  const auto [it, inserted] = images_.try_emplace(bytes);
+  if (inserted) {
+    it->second.bytes.assign(bytes, 0xEE);
+    it->second.chunks = chunk_blob(it->second.bytes, chunk_bytes_);
+  }
+  return it->second;
+}
+
 const std::vector<std::uint8_t>* ChunkCache::find(ChunkId id) {
   const auto it = map_.find(id);
   if (it == map_.end()) return nullptr;

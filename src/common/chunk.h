@@ -61,6 +61,29 @@ std::vector<ChunkRef> chunks_covering(std::span<const std::uint8_t> blob,
                                       std::size_t chunk_bytes, std::size_t begin,
                                       std::size_t end);
 
+/// The stand-in for a task's executable: where a deployment ships the
+/// task binary, the reproduction ships that many bytes of constant
+/// padding. A size therefore fixes the bytes and, with them, the chunk
+/// grid, so every job whose executable has that size shares one image.
+struct ExecutableImage {
+  std::vector<std::uint8_t> bytes;
+  std::vector<ChunkRef> chunks;  ///< grid of `bytes`; empty when chunking is off
+};
+
+/// Builds each executable size's image once, on first use, and hands out
+/// references that stay valid for the cache's lifetime.
+class ExecutableImages {
+ public:
+  /// `chunk_bytes` is the grid every image is cut on (0 = no grid).
+  explicit ExecutableImages(std::size_t chunk_bytes) : chunk_bytes_(chunk_bytes) {}
+
+  const ExecutableImage& of_size(std::size_t bytes);
+
+ private:
+  std::size_t chunk_bytes_;
+  std::unordered_map<std::size_t, ExecutableImage> images_;
+};
+
 /// Agent-side payload store: bounded LRU over chunk payloads. Lookups are
 /// CRC-verified — a corrupted entry reads as absent (and is evicted), which
 /// is exactly the signal the re-fetch path needs.

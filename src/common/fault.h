@@ -46,7 +46,7 @@ namespace cwc::fault {
 /// telemetry) come from fault_point_name().
 enum class FaultPoint : std::uint8_t {
   kSocketConnect = 0,  ///< TcpConnection::connect_ipv4
-  kSocketRead,         ///< TcpConnection::recv_some
+  kSocketRead,         ///< TcpConnection::recv_into
   kSocketWrite,        ///< TcpConnection::send_all
   kFrameDecode,        ///< FrameDecoder::feed (corrupt = torn frame)
   kKeepAliveSend,      ///< CwcServer::send_keepalives, per ping

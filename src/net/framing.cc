@@ -59,13 +59,14 @@ std::optional<std::vector<std::uint8_t>> FrameDecoder::pop() {
 }
 
 std::optional<std::vector<std::uint8_t>> read_frame(TcpConnection& conn, FrameDecoder& decoder) {
+  std::array<std::uint8_t, 16 * 1024> buffer;
   while (true) {
     if (auto frame = decoder.pop()) return frame;
-    const auto data = conn.recv_some();
-    if (!data) continue;            // non-blocking socket: busy wait is the
-                                    // caller's concern; agents use blocking
-    if (data->empty()) return std::nullopt;  // orderly shutdown
-    decoder.feed(*data);
+    const auto n = conn.recv_into(buffer);
+    if (!n) continue;                  // non-blocking socket: busy wait is the
+                                       // caller's concern; agents use blocking
+    if (*n == 0) return std::nullopt;  // orderly shutdown
+    decoder.feed({buffer.data(), *n});
   }
 }
 

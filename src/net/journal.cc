@@ -198,16 +198,20 @@ bool Journal::RecoveredJob::done(bool atomic) const {
 }
 
 Journal::Ranges Journal::RecoveredJob::remaining_ranges() const {
-  // Normalize completed ranges, then walk the gaps.
+  // Normalize completed ranges, then walk the gaps inside the input. A
+  // record may name bytes past it (its job's submit record was lost), and
+  // such a range must not yield an empty or inverted gap.
   auto covered = completed_ranges;
   std::sort(covered.begin(), covered.end());
   std::vector<std::pair<std::uint64_t, std::uint64_t>> remaining;
+  const std::uint64_t size = input.size();
   std::uint64_t cursor = 0;
   for (const auto& [begin, end] : covered) {
-    if (begin > cursor) remaining.push_back({cursor, std::min<std::uint64_t>(begin, input.size())});
+    if (cursor >= size) break;
+    if (begin > cursor) remaining.push_back({cursor, std::min(begin, size)});
     cursor = std::max(cursor, end);
   }
-  if (cursor < input.size()) remaining.push_back({cursor, input.size()});
+  if (cursor < size) remaining.push_back({cursor, size});
   return remaining;
 }
 

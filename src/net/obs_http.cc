@@ -2,6 +2,7 @@
 
 #include <poll.h>
 
+#include <array>
 #include <cctype>
 #include <map>
 #include <utility>
@@ -280,14 +281,15 @@ void ObsHttpServer::service_attached(int fd) {
   bool done = false;
   bool dead = false;
   try {
+    std::array<std::uint8_t, 4096> buffer;
     while (!done && !dead) {
-      const auto data = scrape.conn.recv_some(4096);
-      if (!data) break;  // would block: head still incomplete
-      if (data->empty()) {
+      const auto n = scrape.conn.recv_into(buffer);
+      if (!n) break;  // would block: head still incomplete
+      if (*n == 0) {
         dead = true;  // peer closed before finishing the request
         break;
       }
-      scrape.request.append(data->begin(), data->end());
+      scrape.request.append(reinterpret_cast<const char*>(buffer.data()), *n);
       done = scrape.request.size() >= 8 * 1024 ||
              scrape.request.find("\r\n\r\n") != std::string::npos ||
              scrape.request.find("\n\n") != std::string::npos;
@@ -332,11 +334,12 @@ void ObsHttpServer::handle_connection(TcpConnection conn) {
   // is a few hundred bytes, so anything larger is garbage to drop.
   conn.set_nonblocking(false);
   std::string request;
+  std::array<std::uint8_t, 4096> buffer;
   while (request.size() < 8 * 1024 && request.find("\r\n\r\n") == std::string::npos &&
          request.find("\n\n") == std::string::npos) {
-    const auto data = conn.recv_some(4096);
-    if (!data || data->empty()) break;
-    request.append(data->begin(), data->end());
+    const auto n = conn.recv_into(buffer);
+    if (!n || *n == 0) break;
+    request.append(reinterpret_cast<const char*>(buffer.data()), *n);
   }
   const auto response = respond(request);
   if (!response.empty()) conn.send_all(response);

@@ -79,11 +79,11 @@ std::optional<Blob> PhoneAgent::next_frame(TcpConnection& conn, FrameDecoder& de
       return std::nullopt;  // RPC deadline expired
     }
     if (poll_one(conn.fd(), POLLIN, 100) == 0) continue;  // re-check stop_ every 100 ms
-    const auto data = conn.recv_some();
-    if (!data) continue;
-    if (data->empty()) return std::nullopt;  // server closed the connection
-    obs::counter("net.agent.bytes_received").inc(static_cast<double>(data->size()));
-    decoder.feed(*data);
+    const auto n = conn.recv_into(recv_buffer_);
+    if (!n) continue;
+    if (*n == 0) return std::nullopt;  // server closed the connection
+    obs::counter("net.agent.bytes_received").inc(static_cast<double>(*n));
+    decoder.feed({recv_buffer_.data(), *n});
   }
   return std::nullopt;
 }
@@ -91,10 +91,10 @@ std::optional<Blob> PhoneAgent::next_frame(TcpConnection& conn, FrameDecoder& de
 void PhoneAgent::service_keepalives(TcpConnection& conn, FrameDecoder& decoder) {
   if (offline_.load() && unplugged_.load()) return;  // radio is "gone"
   while (poll_one(conn.fd(), POLLIN, 0) & POLLIN) {
-    const auto data = conn.recv_some();
-    if (!data || data->empty()) return;  // drained or peer closed
-    obs::counter("net.agent.bytes_received").inc(static_cast<double>(data->size()));
-    decoder.feed(*data);
+    const auto n = conn.recv_into(recv_buffer_);
+    if (!n || *n == 0) return;  // drained or peer closed
+    obs::counter("net.agent.bytes_received").inc(static_cast<double>(*n));
+    decoder.feed({recv_buffer_.data(), *n});
   }
   // Answer keep-alives immediately; anything else (e.g. a probe chunk or
   // the shutdown notice) is stashed for the main protocol loop.
@@ -215,6 +215,13 @@ bool PhoneAgent::session() {
 
     const auto ack_frame = next_frame(conn, decoder, config_.rpc_timeout);
     if (!ack_frame) return true;  // disconnect or ack deadline: retry
+    if (ack_frame->empty() || peek_type(*ack_frame) != MsgType::kRegisterAck) {
+      // Any other first frame (a keep-alive that overtook it, say) means
+      // the ack was lost on the way: register afresh on a new connection.
+      obs::counter("net.agent.lost_register_acks").inc();
+      log_warn("agent") << "phone " << config_.id << " lost its registration ack; reconnecting";
+      return true;
+    }
     const RegisterAckMsg ack = decode_register_ack(*ack_frame);
     if (!ack.accepted) {
       throw std::runtime_error("registration rejected");

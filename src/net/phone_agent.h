@@ -196,6 +196,7 @@ class PhoneAgent {
   /// sent); its p50/p95/p99 ship with every keep-alive ack.
   obs::LatencyHistogram exec_hist_;
   std::deque<Blob> stash_;  ///< frames set aside by service_keepalives
+  Blob recv_buffer_ = Blob(kRecvBufferBytes);  ///< every recv of the agent thread
   bool session_registered_ = false;  ///< last session reached registration
 
   /// Bounded cache of completed (piece, attempt) -> report, so a

@@ -52,7 +52,8 @@ CwcServer::CwcServer(std::unique_ptr<core::Scheduler> scheduler,
                   [this](PhoneId id, const core::Attempt& attempt) { cancel_attempt(id, attempt); }}),
       registry_(registry),
       config_(config),
-      listener_(config.port, !config.bind_all_interfaces) {
+      listener_(config.port, !config.bind_all_interfaces),
+      executables_(config.chunk_bytes) {
   if (!registry_) throw std::invalid_argument("CwcServer: null registry");
   // The epoch must differ across process restarts (it invalidates agent
   // replay caches keyed by process-local piece ids), so it cannot come
@@ -120,19 +121,19 @@ JobId CwcServer::submit(const std::string& task_name, Blob input) {
   JobState state;
   state.spec = controller_.job(id);
   state.input = std::move(input);
+  state.executable =
+      &executables_.of_size(static_cast<std::size_t>(state.spec.exec_kb * 1024.0));
   if (state.spec.kind == JobKind::kBreakable) {
     state.pending_ranges.push_back({0, state.input.size()});
   }
   if (config_.chunk_bytes > 0) {
-    // Pre-compute the job's chunk grids once: assignments index into these
-    // instead of re-hashing, and their ids form the locality manifest the
-    // scheduler matches against per-phone directories.
-    const Blob exec_blob(static_cast<std::size_t>(state.spec.exec_kb * 1024.0), 0xEE);
-    state.exec_chunks = chunk_blob(exec_blob, config_.chunk_bytes);
+    // Hash the input's grid once: assignments index into it instead of
+    // re-hashing, and its ids plus the shared executable grid's form the
+    // locality manifest the scheduler matches against per-phone directories.
     state.input_chunks = chunk_blob(state.input, config_.chunk_bytes);
     std::vector<ChunkId> manifest;
-    manifest.reserve(state.exec_chunks.size() + state.input_chunks.size());
-    for (const ChunkRef& ref : state.exec_chunks) manifest.push_back(ref.id);
+    manifest.reserve(state.executable->chunks.size() + state.input_chunks.size());
+    for (const ChunkRef& ref : state.executable->chunks) manifest.push_back(ref.id);
     for (const ChunkRef& ref : state.input_chunks) manifest.push_back(ref.id);
     locality_.set_manifest(id, std::move(manifest));
   }
@@ -144,6 +145,7 @@ JobId CwcServer::submit(const std::string& task_name, Blob input) {
     }
   }
   jobs_[id] = std::move(state);
+  ++jobs_outstanding_;
   return id;
 }
 
@@ -270,15 +272,19 @@ void CwcServer::service_connection(Connection& c) {
   // framing) cost that connection only. The phone's in-flight work goes
   // back to the pool and the agent reconnects with backoff.
   try {
+    // Readiness is level-triggered, so a read that leaves the buffer short
+    // has taken what this round offers: only a full buffer reads again,
+    // and no call is spent collecting EAGAIN.
     while (true) {
-      const auto data = c.conn.recv_some();
-      if (!data) break;  // would block: drained
-      if (data->empty()) {
+      const auto n = c.conn.recv_into(recv_buffer_);
+      if (!n) break;  // would block: drained
+      if (*n == 0) {
         drop_connection(c, /*lost=*/true);
         return;
       }
-      obs::counter("net.server.bytes_received").inc(static_cast<double>(data->size()));
-      c.decoder.feed(*data);
+      obs::counter("net.server.bytes_received").inc(static_cast<double>(*n));
+      c.decoder.feed({recv_buffer_.data(), *n});
+      if (*n < recv_buffer_.size()) break;
     }
     while (c.conn.valid() && !c.outbox.failed()) {
       const auto frame = c.decoder.pop();
@@ -644,9 +650,7 @@ AssignPieceMsg CwcServer::new_assignment(Connection& c, const JobState& job,
   msg.piece_seq = ++c.piece_seq;
   msg.task_name = job.spec.task_name;
   msg.kind = job.spec.kind;
-  if (!executable_cached) {
-    msg.executable.assign(static_cast<std::size_t>(job.spec.exec_kb * 1024.0), 0xEE);
-  }
+  if (!executable_cached) msg.executable = job.executable->bytes;
   for (const auto& [begin, end] : fragments) {
     msg.input.insert(msg.input.end(), job.input.begin() + static_cast<std::ptrdiff_t>(begin),
                      job.input.begin() + static_cast<std::ptrdiff_t>(end));
@@ -851,8 +855,8 @@ void CwcServer::chunk_assignment(Connection& c, AssignPieceMsg& msg, const JobSt
   // keyed by job id; no chunks needed at all).
   if (!msg.executable.empty()) {
     Blob exec_payloads;
-    for (const ChunkRef& ref : job.exec_chunks) {
-      place(ref, msg.executable, msg.exec_chunks, exec_payloads);
+    for (const ChunkRef& ref : job.executable->chunks) {
+      place(ref, job.executable->bytes, msg.exec_chunks, exec_payloads);
     }
     msg.executable = std::move(exec_payloads);
   }
@@ -902,12 +906,8 @@ void CwcServer::on_chunk_request(Connection& c, const ChunkRequestMsg& msg) {
   JobState& job = jobs_.at(assign.job);
 
   // Rebuild both payload blobs with the missing ids flipped to shipped.
-  // The executable payload source is re-synthesized padding; the input
-  // payload source is the original job input (chunk offsets address it).
-  Blob exec_blob;
-  if (!assign.exec_chunks.empty()) {
-    exec_blob.assign(static_cast<std::size_t>(job.spec.exec_kb * 1024.0), 0xEE);
-  }
+  // Chunk offsets address the job's shared executable image and its
+  // original input.
   double reshipped_kb = 0.0;
   const auto rebuild = [&](std::vector<ChunkWire>& chunks, const Blob& source) {
     Blob payloads;
@@ -925,7 +925,7 @@ void CwcServer::on_chunk_request(Connection& c, const ChunkRequestMsg& msg) {
     }
     return payloads;
   };
-  assign.executable = rebuild(assign.exec_chunks, exec_blob);
+  assign.executable = rebuild(assign.exec_chunks, job.executable->bytes);
   assign.input = rebuild(assign.input_chunks, job.input);
   // Re-shipping restores the chunks on the phone, so the directory keeps
   // (refreshes) them; the agent re-inserts on receipt symmetrically.
@@ -1229,26 +1229,18 @@ std::vector<CwcServer::Connection*> CwcServer::connections_by_phone() {
 void CwcServer::maybe_finish_job(JobId id) {
   JobState& job = jobs_.at(id);
   if (job.done) return;
-  if (job.spec.kind == JobKind::kAtomic) {
-    // Atomic jobs bank no failure partials (the checkpoint carries their
-    // state), so any entry in `partials` is a completion report.
-    if (!job.partials.empty()) {
-      job.final_result = registry_->require(job.spec.task_name).aggregate({job.partials.back()});
-      job.done = true;
-    }
-    return;
-  }
-  if (job.bytes_completed >= job.input.size() && job.pending_ranges.empty()) {
-    job.final_result = registry_->require(job.spec.task_name).aggregate(job.partials);
-    job.done = true;
-  }
-}
-
-bool CwcServer::all_jobs_done() const {
-  for (const auto& [id, job] : jobs_) {
-    if (!job.done) return false;
-  }
-  return true;
+  const bool atomic = job.spec.kind == JobKind::kAtomic;
+  // Atomic jobs bank no failure partials (the checkpoint carries their
+  // state), so any entry in `partials` is a completion report.
+  const bool complete = atomic ? !job.partials.empty()
+                               : job.bytes_completed >= job.input.size() &&
+                                     job.pending_ranges.empty();
+  if (!complete) return;
+  const tasks::TaskFactory& factory = registry_->require(job.spec.task_name);
+  job.final_result = atomic ? factory.aggregate({job.partials.back()})
+                            : factory.aggregate(job.partials);
+  job.done = true;
+  --jobs_outstanding_;
 }
 
 const Blob& CwcServer::result(JobId job) const {

@@ -161,11 +161,13 @@ class CwcServer {
   struct JobState {
     core::JobSpec spec;
     Blob input;
-    /// Content-addressed shipping: the grid chunks of the synthesized
-    /// executable and of the original input (empty when chunking is off).
-    /// Input chunk offsets are positions in `input`, so any slice can be
-    /// re-assembled from cached chunks plus its fragment ranges.
-    std::vector<ChunkRef> exec_chunks;
+    /// The executable this job ships, shared by every job of its size
+    /// (null for jobs a previous process finished).
+    const ExecutableImage* executable = nullptr;
+    /// Content-addressed shipping: the grid chunks of the original input
+    /// (empty when chunking is off). Chunk offsets are positions in
+    /// `input`, so any slice can be re-assembled from cached chunks plus
+    /// its fragment ranges.
     std::vector<ChunkRef> input_chunks;
     /// Unshipped byte ranges (breakable jobs). Atomic jobs ship whole.
     std::deque<std::pair<std::size_t, std::size_t>> pending_ranges;
@@ -320,8 +322,10 @@ class CwcServer {
   /// pool in the order phones are served, so serving them in accept order
   /// would let an agent-connect race decide which bytes each phone gets.
   std::vector<Connection*> connections_by_phone();
+  /// Aggregates the job once its last input byte (atomic: its one report)
+  /// is banked.
   void maybe_finish_job(JobId job);
-  bool all_jobs_done() const;
+  bool all_jobs_done() const { return jobs_outstanding_ == 0; }
   /// Cuts the next ~`kb` of record-aligned bytes from the job's pending
   /// ranges, spanning multiple ranges if the pool is fragmented.
   Fragments carve_slice(JobState& job, Kilobytes kb);
@@ -336,6 +340,13 @@ class CwcServer {
   EventLoop loop_;
   std::vector<std::unique_ptr<Connection>> connections_;
   std::map<JobId, JobState> jobs_;
+  /// Jobs submitted and not yet aggregated: submit counts up,
+  /// maybe_finish_job counts down.
+  std::size_t jobs_outstanding_ = 0;
+  ExecutableImages executables_;
+  /// One receive buffer for every connection: the loop is single-threaded
+  /// and each read is fed to that connection's decoder before the next.
+  Blob recv_buffer_ = Blob(kRecvBufferBytes);
   /// Per-phone chunk directory mirrors (only phones that registered a
   /// cache budget have one) and the locality index the scheduler reads
   /// them through. std::map node stability keeps the attached pointers

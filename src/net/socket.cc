@@ -210,7 +210,7 @@ void TcpConnection::send_all(std::span<const std::uint8_t> head,
   if (decision.reset) throw SocketError("injected fault: send", ECONNRESET);
 }
 
-std::optional<std::vector<std::uint8_t>> TcpConnection::recv_some(std::size_t max) {
+std::optional<std::size_t> TcpConnection::recv_into(std::span<std::uint8_t> buffer) {
   if (const fault::FaultAction action = fault::check(fault::FaultPoint::kSocketRead)) {
     // kDrop reads as "no data right now"; the bytes stay queued in the
     // kernel, so this models delivery delay rather than loss (TCP would
@@ -218,16 +218,12 @@ std::optional<std::vector<std::uint8_t>> TcpConnection::recv_some(std::size_t ma
     if (action.kind == fault::FaultAction::Kind::kDrop) return std::nullopt;
     apply_common_fault(action, "recv");
   }
-  std::vector<std::uint8_t> buffer(max);
   while (true) {
     const ssize_t n = ::recv(fd_.get(), buffer.data(), buffer.size(), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return std::nullopt;
-      throw SocketError("recv", errno);
-    }
-    buffer.resize(static_cast<std::size_t>(n));
-    return buffer;  // empty = orderly shutdown
+    if (n >= 0) return static_cast<std::size_t>(n);  // 0 = orderly shutdown
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return std::nullopt;
+    throw SocketError("recv", errno);
   }
 }
 

@@ -13,7 +13,6 @@
 #include <span>
 #include <string>
 #include <system_error>
-#include <vector>
 
 #include "common/types.h"
 
@@ -54,6 +53,10 @@ class FileDescriptor {
   int fd_ = -1;
 };
 
+/// Receive buffer size for connections that carry protocol frames: the
+/// server and the agents each own one buffer of this size.
+inline constexpr std::size_t kRecvBufferBytes = 64 * 1024;
+
 /// A connected TCP stream.
 class TcpConnection {
  public:
@@ -87,9 +90,10 @@ class TcpConnection {
   std::size_t write_some(std::span<const std::uint8_t> head, std::span<const std::uint8_t> body,
                          std::size_t from, std::size_t to);
 
-  /// Reads up to `max` bytes. Returns empty vector on orderly shutdown.
-  /// In non-blocking mode returns nullopt when no data is available.
-  std::optional<std::vector<std::uint8_t>> recv_some(std::size_t max = 64 * 1024);
+  /// One recv into the caller's (non-empty) buffer: returns the bytes
+  /// read, 0 on orderly shutdown, and nullopt when a non-blocking socket
+  /// has no data. The caller owns the buffer and reuses it across calls.
+  std::optional<std::size_t> recv_into(std::span<std::uint8_t> buffer);
 
   void set_nonblocking(bool enabled);
   /// Disables Nagle so small protocol frames flush immediately.

@@ -1,12 +1,17 @@
 // Content-addressed chunk store: grid chunking, the agent-side payload
-// cache (LRU + CRC-verified lookups), and the server-side id directory
-// that mirrors it.
+// cache (LRU + CRC-verified lookups), the server-side id directory that
+// mirrors it, the shared executable images, and the CRC-32 that chunk ids
+// embed.
 #include "common/chunk.h"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string_view>
 #include <vector>
+
+#include "common/crc32.h"
+#include "common/rng.h"
 
 namespace cwc {
 namespace {
@@ -16,6 +21,99 @@ std::vector<std::uint8_t> pattern_blob(std::size_t bytes, std::uint8_t seed = 1)
   std::uint8_t v = seed;
   for (auto& b : blob) b = v = static_cast<std::uint8_t>(v * 31 + 7);
   return blob;
+}
+
+/// CRC-32 one bit at a time over the reflected IEEE polynomial, with no
+/// tables: what the slice-by-8 tables must reproduce exactly.
+std::uint32_t bitwise_crc32(std::span<const std::uint8_t> data, std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+  }
+  return ~crc;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t bytes, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(bytes);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  return out;
+}
+
+TEST(Crc32, CheckValue) {
+  constexpr std::string_view kCheck = "123456789";
+  EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(kCheck.data()), kCheck.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndStartOffset) {
+  constexpr std::size_t kMaxLength = 4096;
+  const auto blob = random_bytes(kMaxLength + 8, 11);
+  for (std::size_t start = 0; start < 8; ++start) {
+    // The reference advances one byte per length, chained through its seed.
+    std::uint32_t expected = 0;  // the CRC of zero bytes
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      ASSERT_EQ(crc32({blob.data() + start, length}), expected)
+          << "start " << start << ", length " << length;
+      if (length < kMaxLength) {
+        expected = bitwise_crc32({blob.data() + start + length, 1}, expected);
+      }
+    }
+  }
+}
+
+TEST(Crc32, ChainsAcrossSplitBuffers) {
+  const auto blob = random_bytes(3000, 12);
+  const std::span<const std::uint8_t> all(blob);
+  const std::uint32_t whole = bitwise_crc32(all);
+  ASSERT_EQ(crc32(all), whole);
+  for (const std::size_t cut : {0u, 1u, 7u, 8u, 9u, 15u, 1500u, 2993u, 2999u, 3000u}) {
+    EXPECT_EQ(crc32(all.subspan(cut), crc32(all.first(cut))), whole) << "cut at " << cut;
+  }
+  // Three pieces, none of them a multiple of eight bytes long.
+  const std::uint32_t first = crc32(all.first(13));
+  const std::uint32_t second = crc32(all.subspan(13, 1001), first);
+  EXPECT_EQ(crc32(all.subspan(1014), second), whole);
+}
+
+TEST(ChunkId, MatchesIdsOfEarlierBuilds) {
+  // Computed with the bytewise table loop that slice-by-8 replaced: agent
+  // caches and journal files written by older builds must still match.
+  // 64 KB of executable padding (a whole grid chunk) and 37 bytes (a
+  // short tail chunk).
+  EXPECT_EQ(make_chunk_id(std::vector<std::uint8_t>(64 * 1024, 0xEE)), 0xB2B5904400010000ull);
+  EXPECT_EQ(make_chunk_id(std::vector<std::uint8_t>(37, 0xEE)), 0xB079701800000025ull);
+  // The grid of a 100 KB + 5 B executable on 64 KB chunks: one whole chunk
+  // and a 36 KB + 5 B tail.
+  ExecutableImages images(64 * 1024);
+  const ExecutableImage& image = images.of_size(100 * 1024 + 5);
+  ASSERT_EQ(image.chunks.size(), 2u);
+  EXPECT_EQ(image.chunks[0].id, 0xB2B5904400010000ull);
+  EXPECT_EQ(image.chunks[1].id, 0xECC5F4F500009005ull);
+  EXPECT_EQ(image.chunks[1].offset, 64u * 1024);
+}
+
+TEST(ExecutableImages, OneImagePerSize) {
+  ExecutableImages images(16 * 1024);
+  const ExecutableImage& a = images.of_size(40 * 1024);
+  EXPECT_EQ(&images.of_size(40 * 1024), &a);  // built once, shared by every job of the size
+  EXPECT_EQ(a.bytes.size(), 40u * 1024);
+  const auto grid = chunk_blob(a.bytes, 16 * 1024);
+  ASSERT_EQ(a.chunks.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(a.chunks[i].id, grid[i].id);
+    EXPECT_EQ(a.chunks[i].offset, grid[i].offset);
+  }
+  const ExecutableImage& b = images.of_size(24 * 1024);
+  EXPECT_NE(&b, &a);
+  EXPECT_EQ(b.bytes.size(), 24u * 1024);
+  EXPECT_EQ(&images.of_size(40 * 1024), &a);  // still valid after another size was added
+  // Chunking off: the bytes without a grid.
+  ExecutableImages ungridded(0);
+  EXPECT_EQ(ungridded.of_size(1024).bytes.size(), 1024u);
+  EXPECT_TRUE(ungridded.of_size(1024).chunks.empty());
 }
 
 TEST(ChunkId, EmbedsSizeAndGuardsContent) {

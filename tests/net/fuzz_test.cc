@@ -2,21 +2,31 @@
 // frames from phones it does not control, so every decoder must fail by
 // *throwing* (never crashing, never reading out of bounds) on arbitrary
 // bytes. These tests feed structured-random garbage into every decode
-// path and into the frame decoder, and token soup into the fault, link,
-// soak-schedule and churn spec parsers that read command-line input.
+// path and into the frame decoder, damaged and random files into journal
+// replay, and token soup into the fault, link, soak-schedule and churn
+// spec parsers that read command-line input.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <initializer_list>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/buffer.h"
+#include "common/crc32.h"
 #include "common/fault.h"
 #include "common/link_fault.h"
 #include "common/rng.h"
 #include "mapreduce/mapreduce.h"
 #include "net/framing.h"
+#include "net/journal.h"
 #include "net/protocol.h"
 #include "sim/churn.h"
 #include "soak/soak.h"
@@ -176,6 +186,215 @@ TEST(DecoderFuzz, BitflippedValidMessagesNeverCrash) {
     must_not_crash([&] { (void)decode_piece_failed(mutated); });
   }
 }
+
+/// Journal replay reads whatever a crashed server left on disk, so torn,
+/// bit-rotted and foreign files are its normal input. Each outcome must be
+/// the replay of a record-boundary prefix of the file (the longest valid
+/// one), or std::runtime_error for a file that is not a journal at all;
+/// any other exception escapes and fails the test.
+class JournalFuzz : public ::testing::TestWithParam<int> {
+ protected:
+  using Replayed = std::map<JobId, Journal::RecoveredJob>;
+
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "cwc_journal_fuzz_" + std::to_string(::getpid()) + "_" +
+            std::to_string(GetParam()) + ".cwcj";
+    std::remove(path_.c_str());
+    { Journal empty(path_, /*truncate=*/true); }
+    header_ = read_file();
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  Blob read_file() const {
+    std::ifstream in(path_, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
+
+  /// Replays `bytes` as a journal file; nullopt when replay threw
+  /// std::runtime_error.
+  std::optional<Replayed> replay(const Blob& bytes) const {
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+      return Journal::replay(path_);
+    } catch (const std::runtime_error&) {
+      return std::nullopt;
+    }
+  }
+
+  /// The replay of every record-boundary prefix of `file`, header only
+  /// first: the outcomes a damaged copy of it may recover.
+  std::vector<Replayed> prefix_replays(const Blob& file) const {
+    std::vector<Replayed> prefixes;
+    std::size_t end = header_.size();
+    while (true) {
+      const Blob prefix(file.begin(), file.begin() + static_cast<std::ptrdiff_t>(end));
+      prefixes.push_back(replay(prefix).value());
+      if (end + 8 > file.size()) break;
+      BufferReader length({file.data() + end, 4});
+      end += 8 + length.read_u32();  // [u32 length][u32 crc][payload]
+    }
+    return prefixes;
+  }
+
+  /// Recovery builds on these: every range replay reports unprocessed
+  /// lies inside its job's input.
+  static void expect_usable(const Replayed& jobs) {
+    for (const auto& [id, job] : jobs) {
+      for (const auto& [begin, end] : job.remaining_ranges()) {
+        EXPECT_LT(begin, end) << "job " << id;
+        EXPECT_LE(end, job.input.size()) << "job " << id;
+      }
+      EXPECT_LE(job.remaining_bytes(), job.input.size()) << "job " << id;
+    }
+  }
+
+  /// A record payload assembled from the format's own fields with random
+  /// values: small counts, job ids with and without a submit, ranges
+  /// inside, across and past the input, and now and then a cut-short
+  /// record or an unknown type. Most decode; some stop the walk.
+  static Blob random_record(Rng& rng) {
+    BufferWriter w;
+    const auto type = rng.uniform_int(1, 4);  // 1-3 are the record types
+    w.write_u8(static_cast<std::uint8_t>(type));
+    w.write_i32(static_cast<JobId>(rng.uniform_int(-1, 3)));
+    switch (type) {
+      case 1:
+        w.write_string(rng.uniform_int(0, 1) == 0 ? "prime-count" : "photo-blur");
+        w.write_bytes(random_blob(rng, 128));
+        break;
+      case 2: {
+        const auto ranges = rng.uniform_int(0, 3);
+        w.write_u32(static_cast<std::uint32_t>(ranges));
+        for (auto k = ranges; k > 0; --k) {
+          w.write_u64(static_cast<std::uint64_t>(rng.uniform_int(0, 160)));
+          w.write_u64(static_cast<std::uint64_t>(rng.uniform_int(0, 160)));
+        }
+        w.write_bytes(random_blob(rng, 16));
+        break;
+      }
+      case 3:
+        w.write_bytes(random_blob(rng, 16));
+        break;
+      default:
+        w.write_u32(static_cast<std::uint32_t>(rng.uniform_int(0, 1'000'000)));
+    }
+    Blob payload = w.take();
+    if (rng.uniform_int(0, 5) == 0) {
+      payload.resize(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(payload.size()))));
+    }
+    return payload;
+  }
+
+  static bool same(const Replayed& a, const Replayed& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](const auto& x, const auto& y) {
+      return x.first == y.first && x.second.task_name == y.second.task_name &&
+             x.second.input == y.second.input &&
+             x.second.completed_ranges == y.second.completed_ranges &&
+             x.second.partials == y.second.partials &&
+             x.second.atomic_result == y.second.atomic_result;
+    });
+  }
+
+  static bool is_one_of(const Replayed& jobs, const std::vector<Replayed>& prefixes) {
+    return std::any_of(prefixes.begin(), prefixes.end(),
+                       [&](const Replayed& prefix) { return same(jobs, prefix); });
+  }
+
+  std::string path_;
+  Blob header_;  ///< what a journal holds before its first record
+};
+
+TEST_P(JournalFuzz, RandomFilesRecoverNothingOrThrow) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
+  for (int round = 0; round < 200; ++round) {
+    const auto recovered = replay(random_blob(rng, 512));
+    if (recovered) {
+      EXPECT_TRUE(recovered->empty());  // the file was empty or a prefix of the header
+    }
+  }
+}
+
+TEST_P(JournalFuzz, RandomBytesAfterTheHeaderRecoverNothing) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 2);
+  for (int round = 0; round < 200; ++round) {
+    Blob file = header_;
+    const Blob tail = random_blob(rng, 512);
+    file.insert(file.end(), tail.begin(), tail.end());
+    const auto recovered = replay(file);
+    ASSERT_TRUE(recovered.has_value()) << "a file with a valid header must replay";
+    EXPECT_TRUE(recovered->empty());
+  }
+}
+
+// Records whose framing and CRC are intact reach the record decoder
+// itself: replay must stop at the first one it cannot decode, keep the
+// records before it, and leave every job's unprocessed ranges usable.
+TEST_P(JournalFuzz, RandomRecordsWithValidCrcsReplayAPrefix) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
+  for (int round = 0; round < 100; ++round) {
+    Blob file = header_;
+    for (auto records = rng.uniform_int(1, 8); records > 0; --records) {
+      const Blob payload = rng.uniform_int(0, 4) == 0 ? random_blob(rng, 96) : random_record(rng);
+      BufferWriter frame;
+      frame.write_u32(static_cast<std::uint32_t>(payload.size()));
+      frame.write_u32(crc32(payload));
+      const Blob head = frame.take();
+      file.insert(file.end(), head.begin(), head.end());
+      file.insert(file.end(), payload.begin(), payload.end());
+    }
+    const auto recovered = replay(file);
+    ASSERT_TRUE(recovered.has_value()) << "a file with a valid header must replay";
+    EXPECT_TRUE(is_one_of(*recovered, prefix_replays(file)));
+    expect_usable(*recovered);
+  }
+}
+
+TEST_P(JournalFuzz, BitFlippedJournalsReplayAValidPrefix) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 4);
+  {
+    Journal journal(path_, /*truncate=*/true);
+    for (JobId job = 0; job < 4; ++job) {
+      journal.record_submit(job, job % 2 == 0 ? "prime-count" : "photo-blur",
+                            random_blob(rng, 96));
+    }
+    journal.record_progress(0, {{0, 16}, {32, 48}}, random_blob(rng, 16));
+    journal.record_atomic_done(1, random_blob(rng, 24));
+    journal.record_progress(2, {{8, 24}}, random_blob(rng, 16));
+    journal.record_progress(0, {{16, 32}}, random_blob(rng, 16));
+  }
+  const Blob valid = read_file();
+  const std::vector<Replayed> prefixes = prefix_replays(valid);
+  ASSERT_EQ(prefixes.size(), 9u);  // header only, then one per record
+  for (int round = 0; round < 300; ++round) {
+    Blob damaged = valid;
+    for (auto flips = rng.uniform_int(1, 3); flips > 0; --flips) {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(damaged.size()) - 1));
+      damaged[pos] ^= static_cast<std::uint8_t>(1 << rng.uniform_int(0, 7));
+    }
+    if (rng.uniform_int(0, 3) == 0) {  // and torn at the tail
+      damaged.resize(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(damaged.size()))));
+    }
+    const auto recovered = replay(damaged);
+    const std::size_t head = std::min(damaged.size(), header_.size());
+    const bool header_intact = std::equal(damaged.begin(), damaged.begin() + head, header_.begin());
+    if (!recovered) {
+      EXPECT_FALSE(header_intact) << "only a damaged format header may throw";
+      continue;
+    }
+    EXPECT_TRUE(header_intact);
+    EXPECT_TRUE(is_one_of(*recovered, prefixes)) << "round " << round;
+    expect_usable(*recovered);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JournalFuzz, ::testing::Range(0, 4));
 
 /// One to three rules, each in one of the four grammars (point fault,
 /// link fault, churn, soak-schedule line), assembled from the grammars' own

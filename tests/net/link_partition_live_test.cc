@@ -221,12 +221,13 @@ class WedgedPeer {
       reg.ram_kb = 512.0 * 1024.0;
       write_frame(conn, encode(reg));
       FrameDecoder decoder;
+      Blob buffer(kRecvBufferBytes);
       std::uint32_t probe_chunks_left = 0;
       while (!wedged_.load() && !stop_.load()) {
         if (poll_one(conn.fd(), POLLIN, 50) == 0) continue;
-        const auto data = conn.recv_some();
-        if (!data || data->empty()) return;
-        decoder.feed(*data);
+        const auto n = conn.recv_into(buffer);
+        if (!n || *n == 0) return;
+        decoder.feed({buffer.data(), *n});
         while (!wedged_.load()) {
           const auto frame = decoder.pop();
           if (!frame) break;

@@ -46,9 +46,9 @@ struct Link {
     const auto start = Clock::now();
     while (frames.size() < count && ms_since(start) < budget_ms) {
       loop.run_once(1.0);
-      while (const auto data = client.recv_some()) {
-        if (data->empty()) return frames;
-        decoder.feed(*data);
+      while (const auto n = client.recv_into(buffer)) {
+        if (*n == 0) return frames;
+        decoder.feed({buffer.data(), *n});
       }
       while (auto frame = decoder.pop()) frames.push_back(std::move(*frame));
     }
@@ -59,6 +59,7 @@ struct Link {
   TcpConnection client;
   TcpConnection server;
   FrameDecoder decoder;
+  Blob buffer = Blob(kRecvBufferBytes);
 };
 
 TEST(Outbox, DueFrameBehindAnEmptyQueueIsWrittenAtOnce) {

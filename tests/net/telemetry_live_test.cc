@@ -52,10 +52,11 @@ std::string http_get(std::uint16_t port, const std::string& path) {
         "GET " + path + " HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n";
     conn.send_all({reinterpret_cast<const std::uint8_t*>(request.data()), request.size()});
     std::string response;
+    Blob buffer(kRecvBufferBytes);
     while (true) {
-      auto chunk = conn.recv_some();
-      if (!chunk || chunk->empty()) break;
-      response.append(reinterpret_cast<const char*>(chunk->data()), chunk->size());
+      const auto n = conn.recv_into(buffer);
+      if (!n || *n == 0) break;
+      response.append(reinterpret_cast<const char*>(buffer.data()), *n);
     }
     return response;
   } catch (const SocketError&) {
@@ -212,10 +213,11 @@ TEST(TelemetryLive, AttachedScrapeLargerThanTheSocketBuffersDrainsOnTheLoop) {
     const std::string request = "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n";
     conn.send_all({reinterpret_cast<const std::uint8_t*>(request.data()), request.size()});
     std::this_thread::sleep_for(std::chrono::milliseconds(200));  // a slow reader
+    Blob buffer(kRecvBufferBytes);
     while (true) {
-      const auto chunk = conn.recv_some();
-      if (!chunk || chunk->empty()) break;
-      response.append(reinterpret_cast<const char*>(chunk->data()), chunk->size());
+      const auto n = conn.recv_into(buffer);
+      if (!n || *n == 0) break;
+      response.append(reinterpret_cast<const char*>(buffer.data()), *n);
     }
     done.store(true);
   });

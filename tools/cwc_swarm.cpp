@@ -164,6 +164,7 @@ void run_shard(std::uint16_t port, PhoneId first_id, std::size_t count, Millis d
   std::vector<std::unique_ptr<SwarmAgent>> agents;
   agents.reserve(count);
   std::size_t live = 0;
+  net::Blob recv_buffer(net::kRecvBufferBytes);  // shared: the shard's loop is single-threaded
 
   const auto connect_deadline =
       std::chrono::steady_clock::now() + std::chrono::duration<double, std::milli>(deadline_ms);
@@ -192,17 +193,17 @@ void run_shard(std::uint16_t port, PhoneId first_id, std::size_t count, Millis d
     agent->conn.set_nonblocking(true);
 
     SwarmAgent* raw = agent.get();
-    loop.watch_fd(raw->conn.fd(), [&loop, &registry, &stats, &live, raw] {
+    loop.watch_fd(raw->conn.fd(), [&loop, &registry, &stats, &live, &recv_buffer, raw] {
       try {
         while (raw->conn.valid() && !raw->done) {
-          const auto data = raw->conn.recv_some();
-          if (!data) break;  // drained
-          if (data->empty()) {
+          const auto n = raw->conn.recv_into(recv_buffer);
+          if (!n) break;  // drained
+          if (*n == 0) {
             raw->done = true;  // server closed without shutdown (error path)
             ++stats.errors;
             break;
           }
-          raw->decoder.feed(*data);
+          raw->decoder.feed({recv_buffer.data(), *n});
           while (auto frame = raw->decoder.pop()) {
             handle_agent_frame(*raw, *frame, registry);
             if (raw->done) {

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <map>
 #include <stdexcept>
@@ -61,10 +62,11 @@ std::string http_get(const std::string& host, std::uint16_t port, const std::str
       "GET " + path + " HTTP/1.1\r\nHost: cwc\r\nConnection: close\r\n\r\n";
   conn.send_all({reinterpret_cast<const std::uint8_t*>(request.data()), request.size()});
   std::string response;
+  std::array<std::uint8_t, 16 * 1024> buffer;
   while (true) {
-    auto chunk = conn.recv_some();
-    if (!chunk || chunk->empty()) break;  // server closes after the body
-    response.append(reinterpret_cast<const char*>(chunk->data()), chunk->size());
+    const auto n = conn.recv_into(buffer);
+    if (!n || *n == 0) break;  // server closes after the body
+    response.append(reinterpret_cast<const char*>(buffer.data()), *n);
   }
   const auto body = response.find("\r\n\r\n");
   if (body == std::string::npos || response.compare(0, 12, "HTTP/1.1 200") != 0) return {};
