@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark) for the scheduling stack: greedy
 // packing cost vs fleet/workload size, the capacity binary search, the LP
 // relaxation solve, and the prediction model's hot paths; plus the
-// server's CRC-32 and submit path. These quantify the paper's claim that
-// "the scheduling algorithms executed on the server are lightweight, and
-// thus, a rudimentary low cost PC will suffice".
+// server's CRC-32 and submit path, and the phones' task kernels. These
+// quantify the paper's claim that "the scheduling algorithms executed on
+// the server are lightweight, and thus, a rudimentary low cost PC will
+// suffice".
 #include <benchmark/benchmark.h>
 
 #include <sys/socket.h>
@@ -585,6 +586,52 @@ void BM_ServerSubmit(benchmark::State& state) {
   state.SetLabel("12k jobs x 2 KB, 4-task mix, journal on");
 }
 BENCHMARK(BM_ServerSubmit)->Unit(benchmark::kMillisecond);
+
+// A phone's execute step for each built-in task: a fresh instance stepped
+// over the whole input, as agents run an assignment. 2 KB is a live-small
+// piece, 1 MB a live-bulk job. Registered as BM_TaskExecute/<task>/<bytes>.
+using MakeInput = net::Blob (*)(Rng&, Kilobytes);
+
+void BM_TaskExecute(benchmark::State& state, const std::string& task, MakeInput make_input,
+                    std::size_t bytes) {
+  Rng rng(11);
+  const net::Blob input = make_input(rng, static_cast<double>(bytes) / 1024.0);
+  const tasks::TaskRegistry registry = tasks::TaskRegistry::with_builtins();
+  const tasks::TaskFactory& factory = registry.require(task);
+  for (auto _ : state) benchmark::DoNotOptimize(tasks::run_to_completion(factory, input));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(input.size()));
+  state.counters["per_kb"] = benchmark::Counter(
+      static_cast<double>(input.size()) / 1024.0, benchmark::Counter::kIsIterationInvariantRate |
+                                                      benchmark::Counter::kInvert);
+}
+
+const bool kTaskExecuteRegistered = [] {
+  struct TaskInput {
+    const char* label;
+    const char* task;
+    MakeInput make_input;
+  };
+  const TaskInput kTasks[] = {
+      {"primes", "prime-count", tasks::make_integer_input},
+      {"words", "word-count:error",
+       [](Rng& rng, Kilobytes kb) { return tasks::make_text_input(rng, kb, "error"); }},
+      {"logs", "log-scan:disk failure",
+       [](Rng& rng, Kilobytes kb) { return tasks::make_log_input(rng, kb, "disk failure"); }},
+      {"sales", "sales-aggregate", tasks::make_sales_input},
+      {"blur", "photo-blur", tasks::make_image_input_of_size},
+  };
+  for (const TaskInput& t : kTasks) {
+    for (const std::size_t bytes : {std::size_t{2 * 1024}, std::size_t{1024 * 1024}}) {
+      const std::string name =
+          std::string("BM_TaskExecute/") + t.label + "/" + std::to_string(bytes);
+      benchmark::RegisterBenchmark(name.c_str(), BM_TaskExecute, std::string(t.task),
+                                   t.make_input, bytes)
+          ->Unit(benchmark::kMicrosecond);
+    }
+  }
+  return true;
+}();
 
 }  // namespace
 

@@ -1,6 +1,5 @@
 #include "common/strings.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 
@@ -20,31 +19,15 @@ std::vector<std::string> split(std::string_view text, char delim) {
   }
 }
 
-std::vector<std::string> split_whitespace(std::string_view text) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-    std::size_t start = i;
-    while (i < text.size() && !std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-    if (i > start) out.emplace_back(text.substr(start, i - start));
-  }
-  return out;
-}
-
 std::string_view trim(std::string_view text) {
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front()))) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back()))) {
-    text.remove_suffix(1);
-  }
+  while (!text.empty() && is_space(text.front())) text.remove_prefix(1);
+  while (!text.empty() && is_space(text.back())) text.remove_suffix(1);
   return text;
 }
 
 std::string to_lower(std::string_view text) {
   std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = ascii_lower(c);
   return out;
 }
 

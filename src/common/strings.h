@@ -8,16 +8,40 @@
 
 namespace cwc {
 
+/// The C-locale `isspace` set: space, \t, \n, \v, \f and \r. Bytes >= 0x80
+/// are not whitespace.
+constexpr bool is_space(char c) {
+  return c == ' ' || static_cast<unsigned char>(c - '\t') <= '\r' - '\t';
+}
+
+/// Lower-cases one byte; only ASCII 'A'-'Z' change.
+constexpr char ascii_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+/// The whitespace token walk: returns the next run of non-whitespace bytes
+/// in `rest` and advances `rest` past it, or an empty view once only
+/// whitespace is left. Allocates nothing; tokens view `rest`'s bytes.
+///
+///   for (auto t = next_token(rest); !t.empty(); t = next_token(rest)) ...
+inline std::string_view next_token(std::string_view& rest) {
+  const std::size_t n = rest.size();
+  std::size_t begin = 0;
+  while (begin < n && is_space(rest[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < n && !is_space(rest[end])) ++end;
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
+}
+
 /// Splits on a single delimiter; empty fields are preserved.
 std::vector<std::string> split(std::string_view text, char delim);
 
-/// Splits on runs of ASCII whitespace; empty tokens are dropped.
-std::vector<std::string> split_whitespace(std::string_view text);
-
-/// Trims ASCII whitespace from both ends.
+/// Trims whitespace (`is_space`) from both ends.
 std::string_view trim(std::string_view text);
 
-/// ASCII lower-casing (workloads are ASCII by construction).
+/// Lower-cases with `ascii_lower`.
 std::string to_lower(std::string_view text);
 
 bool starts_with(std::string_view text, std::string_view prefix);

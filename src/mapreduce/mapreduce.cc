@@ -93,7 +93,9 @@ const std::string& WordFrequencyMapper::name() const {
 }
 
 void WordFrequencyMapper::map(std::string_view record, Emitter& out) const {
-  for (const auto& token : split_whitespace(record)) out.emit(to_lower(token));
+  for (auto token = next_token(record); !token.empty(); token = next_token(record)) {
+    out.emit(to_lower(token));
+  }
 }
 
 const std::string& LogSeverityMapper::name() const {
@@ -102,8 +104,9 @@ const std::string& LogSeverityMapper::name() const {
 }
 
 void LogSeverityMapper::map(std::string_view record, Emitter& out) const {
-  const auto tokens = split_whitespace(record);
-  if (tokens.size() >= 2) out.emit(tokens[1]);
+  next_token(record);
+  const std::string_view severity = next_token(record);
+  if (!severity.empty()) out.emit(severity);
 }
 
 CsvFieldMapper::CsvFieldMapper(std::size_t field_index, char delimiter)
@@ -124,7 +127,7 @@ NumericBucketMapper::NumericBucketMapper(std::int64_t bucket_width)
 }
 
 void NumericBucketMapper::map(std::string_view record, Emitter& out) const {
-  for (const auto& token : split_whitespace(record)) {
+  for (auto token = next_token(record); !token.empty(); token = next_token(record)) {
     std::int64_t value = 0;
     const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
     if (ec != std::errc() || ptr != token.data() + token.size()) continue;

@@ -40,7 +40,8 @@ Image decode_image(ByteView data);
 /// Used by tests to validate the incremental task against a direct pass.
 Image box_blur_reference(const Image& input);
 
-/// Incremental, checkpointable blur over one encoded image.
+/// Incremental, checkpointable blur over one encoded image. Each step reads
+/// the source pixels in place from its `input`.
 class BlurTask final : public Task {
  public:
   std::size_t step(ByteView input, std::size_t budget) override;
@@ -53,7 +54,8 @@ class BlurTask final : public Task {
   void ensure_decoded(ByteView input);
 
   bool decoded_ = false;
-  Image source_;
+  std::uint32_t width_ = 0;  // of the source image, read from its header
+  std::uint32_t height_ = 0;
   std::vector<std::uint8_t> output_rows_;  // completed output, row-major
   std::uint32_t rows_done_ = 0;
   std::uint64_t consumed_ = 0;  // maps rows_done_ onto input bytes

@@ -1,29 +1,31 @@
 #include "tasks/line_task.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace cwc::tasks {
 
 std::size_t LineTask::step(ByteView input, std::size_t budget) {
   const std::size_t start = static_cast<std::size_t>(consumed_);
-  if (start >= input.size()) return 0;
+  const std::size_t size = input.size();
+  if (start >= size) return 0;
 
+  const char* const data = reinterpret_cast<const char*>(input.data());
+  const std::size_t soft_end = std::min(size, start + budget);
   std::size_t pos = start;
-  const std::size_t soft_end = std::min(input.size(), start + budget);
-  std::size_t processed_through = start;
-  while (pos < input.size()) {
-    // Find end of the current record.
-    std::size_t eol = pos;
-    while (eol < input.size() && input[eol] != '\n') ++eol;
-    const std::size_t record_end = eol < input.size() ? eol + 1 : eol;
-    if (record_end > soft_end && processed_through > start) {
+  while (pos < size) {
+    const auto* newline = static_cast<const char*>(std::memchr(data + pos, '\n', size - pos));
+    const std::size_t eol = newline ? static_cast<std::size_t>(newline - data) : size;
+    const std::size_t record_end = newline ? eol + 1 : eol;
+    if (record_end > soft_end && pos > start) {
       break;  // budget exhausted at a record boundary
     }
-    process_line(std::string_view(reinterpret_cast<const char*>(input.data()) + pos, eol - pos));
-    processed_through = record_end;
+    process_line(std::string_view(data + pos, eol - pos));
     pos = record_end;
-    if (processed_through >= soft_end) break;
+    if (pos >= soft_end) break;
   }
-  consumed_ = processed_through;
-  return processed_through - start;
+  consumed_ = pos;
+  return pos - start;
 }
 
 Checkpoint LineTask::checkpoint() const {

@@ -14,13 +14,13 @@ LogScanTask::LogScanTask(std::string pattern) : pattern_(std::move(pattern)) {}
 void LogScanTask::process_line(std::string_view line) {
   ++result_.total_lines;
   // Record format: "<epoch-seconds> <SEVERITY> <message...>".
-  const auto tokens = split_whitespace(line);
-  if (tokens.size() >= 2) {
-    for (std::size_t s = 0; s < kSeverityNames.size(); ++s) {
-      if (tokens[1] == kSeverityNames[s]) {
-        ++result_.severity_counts[s];
-        break;
-      }
+  std::string_view rest = line;
+  next_token(rest);
+  const std::string_view severity = next_token(rest);
+  for (std::size_t s = 0; s < kSeverityNames.size(); ++s) {
+    if (severity == kSeverityNames[s]) {
+      ++result_.severity_counts[s];
+      break;
     }
   }
   if (!pattern_.empty() && line.find(pattern_) != std::string_view::npos) {

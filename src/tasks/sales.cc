@@ -1,10 +1,42 @@
 #include "tasks/sales.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 
 #include "common/strings.h"
 
 namespace cwc::tasks {
+
+namespace {
+
+/// (first byte + length) mod 16 gives each category name its own slot, so
+/// a lookup is one comparison (the static_assert checks the slots differ).
+constexpr std::size_t category_slot(std::string_view name) {
+  return (static_cast<unsigned char>(name.front()) + name.size()) % 16;
+}
+
+constexpr auto kCategoryBySlot = [] {
+  std::array<std::size_t, 16> by_slot{};
+  by_slot.fill(kSalesCategories.size());
+  for (std::size_t i = 0; i < kSalesCategories.size(); ++i) {
+    by_slot[category_slot(kSalesCategories[i])] = i;
+  }
+  return by_slot;
+}();
+static_assert(std::ranges::count(kCategoryBySlot, kSalesCategories.size()) ==
+                  kCategoryBySlot.size() - kSalesCategories.size(),
+              "two sales categories share a slot");
+
+/// Index of `name` in kSalesCategories, or kSalesCategories.size().
+std::size_t category_index(std::string_view name) {
+  const std::size_t none = kSalesCategories.size();
+  if (name.empty()) return none;
+  const std::size_t i = kCategoryBySlot[category_slot(name)];
+  return i != none && kSalesCategories[i] == name ? i : none;
+}
+
+}  // namespace
 
 std::size_t SalesResult::top_category() const {
   std::size_t best = 0;
@@ -17,23 +49,23 @@ std::size_t SalesResult::top_category() const {
 void SalesAggregateTask::process_line(std::string_view line) {
   line = trim(line);
   if (line.empty()) return;
-  const auto fields = split(line, ',');
-  if (fields.size() != 3) {
+  // Exactly three fields: "store_id,category,amount". A fourth field
+  // leaves a comma in the amount, which then fails to parse to its end.
+  const std::size_t first = line.find(',');
+  const std::size_t second = first == std::string_view::npos ? first : line.find(',', first + 1);
+  if (second == std::string_view::npos) {
     ++result_.malformed_records;
     return;
   }
-  std::size_t category = kSalesCategories.size();
-  for (std::size_t i = 0; i < kSalesCategories.size(); ++i) {
-    if (fields[1] == kSalesCategories[i]) {
-      category = i;
-      break;
-    }
-  }
+  const std::size_t category = category_index(line.substr(first + 1, second - first - 1));
   double amount = 0.0;
-  const auto& amount_str = fields[2];
-  const auto [ptr, ec] = std::from_chars(amount_str.data(), amount_str.data() + amount_str.size(), amount);
-  if (category == kSalesCategories.size() || ec != std::errc() ||
-      ptr != amount_str.data() + amount_str.size() || amount < 0.0) {
+  const std::string_view amount_str = line.substr(second + 1);
+  const char* const amount_end = amount_str.data() + amount_str.size();
+  const auto [ptr, ec] = std::from_chars(amount_str.data(), amount_end, amount);
+  // from_chars accepts "nan" and "inf"; a non-finite amount would poison
+  // its category's revenue in every aggregate that includes this partial.
+  if (category == kSalesCategories.size() || ec != std::errc() || ptr != amount_end ||
+      !std::isfinite(amount) || amount < 0.0) {
     ++result_.malformed_records;
     return;
   }

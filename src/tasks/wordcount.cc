@@ -1,5 +1,7 @@
 #include "tasks/wordcount.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 
 namespace cwc::tasks {
@@ -7,8 +9,13 @@ namespace cwc::tasks {
 WordCountTask::WordCountTask(std::string target) : target_(to_lower(target)) {}
 
 void WordCountTask::process_line(std::string_view line) {
-  for (const auto& token : split_whitespace(line)) {
-    if (to_lower(token) == target_) ++count_;
+  const auto same_letter = [](char token_char, char target_char) {
+    return ascii_lower(token_char) == target_char;
+  };
+  for (auto token = next_token(line); !token.empty(); token = next_token(line)) {
+    if (std::equal(token.begin(), token.end(), target_.begin(), target_.end(), same_letter)) {
+      ++count_;
+    }
   }
 }
 

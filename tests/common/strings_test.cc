@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string_view>
+#include <vector>
+
 namespace cwc {
 namespace {
 
@@ -27,16 +31,52 @@ TEST(Split, NoDelimiterIsSingleField) {
   EXPECT_EQ(parts[0], "hello");
 }
 
-TEST(SplitWhitespace, DropsEmptyTokens) {
-  const auto words = split_whitespace("  the\tquick \n brown  fox ");
+std::vector<std::string_view> all_tokens(std::string_view text) {
+  std::vector<std::string_view> tokens;
+  for (auto t = next_token(text); !t.empty(); t = next_token(text)) tokens.push_back(t);
+  return tokens;
+}
+
+TEST(NextToken, DropsEmptyTokens) {
+  const auto words = all_tokens("  the\tquick \n brown  fox ");
   ASSERT_EQ(words.size(), 4u);
   EXPECT_EQ(words[0], "the");
   EXPECT_EQ(words[3], "fox");
 }
 
-TEST(SplitWhitespace, EmptyAndBlankInput) {
-  EXPECT_TRUE(split_whitespace("").empty());
-  EXPECT_TRUE(split_whitespace("   \t\n ").empty());
+TEST(NextToken, EmptyAndBlankInput) {
+  EXPECT_TRUE(all_tokens("").empty());
+  EXPECT_TRUE(all_tokens("   \t\n ").empty());
+}
+
+TEST(NextToken, SplitsOnExactlyTheCLocaleSpaceSet) {
+  // Space, \t, \n, \v, \f and \r separate tokens; NUL, DEL and bytes >= 0x80
+  // (NBSP and NEL among them) belong to tokens.
+  constexpr char kText[] = "a b\tc\nd\ve\ff\rg \0h\x7f \xa0i\x85 \xff";
+  const auto tokens = all_tokens(std::string_view(kText, sizeof kText - 1));
+  const std::vector<std::string_view> expected = {
+      "a", "b", "c", "d", "e", "f", "g", std::string_view("\0h\x7f", 3), "\xa0i\x85", "\xff"};
+  EXPECT_EQ(tokens, expected);
+}
+
+TEST(NextToken, ByteClassesMatchTheCLocale) {
+  // The program never calls setlocale, so <cctype> answers for the C locale.
+  for (int c = 0; c < 256; ++c) {
+    EXPECT_EQ(is_space(static_cast<char>(c)), std::isspace(c) != 0) << c;
+    EXPECT_EQ(static_cast<unsigned char>(ascii_lower(static_cast<char>(c))), std::tolower(c)) << c;
+  }
+}
+
+TEST(NextToken, AdvancesPastEachTokenAndViewsTheInput) {
+  const std::string text = "  first second";
+  std::string_view rest = text;
+  const std::string_view first = next_token(rest);
+  EXPECT_EQ(first, "first");
+  EXPECT_EQ(first.data(), text.data() + 2);
+  EXPECT_EQ(rest, " second");
+  EXPECT_EQ(next_token(rest), "second");
+  EXPECT_TRUE(rest.empty());
+  EXPECT_TRUE(next_token(rest).empty());
 }
 
 TEST(Trim, StripsBothEnds) {
@@ -48,6 +88,7 @@ TEST(Trim, StripsBothEnds) {
 
 TEST(ToLower, Ascii) {
   EXPECT_EQ(to_lower("HeLLo 123!"), "hello 123!");
+  EXPECT_EQ(to_lower("@AZ[`az{\xc0\xc9"), "@az[`az{\xc0\xc9");
 }
 
 TEST(StartsWith, Basics) {

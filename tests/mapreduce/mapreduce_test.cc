@@ -41,13 +41,25 @@ TEST(WordFrequency, CountsLowercasedTokens) {
   EXPECT_EQ(result.counts.size(), 3u);
 }
 
+TEST(WordFrequency, SplitsOnTheCLocaleSpaceSetOnly) {
+  // \v, \f and \r separate words; NBSP (0xA0) and bytes >= 0x80 do not, and
+  // only A-Z are lower-cased.
+  MapReduceFactory factory(std::make_shared<WordFrequencyMapper>());
+  const auto input = bytes_of("A\vb\fC\r\nd\xa0" "E \xc3\x89t\xc3\xa9\n");
+  const Table result = decode_table(tasks::run_to_completion(factory, input));
+  const std::map<std::string, std::int64_t> expected = {
+      {"a", 1}, {"b", 1}, {"c", 1}, {"d\xa0" "e", 1}, {"\xc3\x89t\xc3\xa9", 1}};
+  EXPECT_EQ(result.counts, expected);
+}
+
 TEST(LogSeverity, HistogramsSecondToken) {
   MapReduceFactory factory(std::make_shared<LogSeverityMapper>());
-  const auto input = bytes_of("1 ERROR x\n2 INFO y\n3 ERROR z\nmalformed\n");
+  const auto input = bytes_of("1 ERROR x\n2 INFO y\n3 ERROR z\nmalformed\n\t4\vWARN\r\n");
   const Table result = decode_table(tasks::run_to_completion(factory, input));
   EXPECT_EQ(result.at("ERROR"), 2);
   EXPECT_EQ(result.at("INFO"), 1);
-  EXPECT_EQ(result.total(), 3);
+  EXPECT_EQ(result.at("WARN"), 1);  // after a tab and a vertical tab
+  EXPECT_EQ(result.total(), 4);
 }
 
 TEST(CsvField, CountsChosenColumn) {

@@ -95,6 +95,24 @@ TEST(Sales, NegativeAmountIsMalformed) {
   EXPECT_DOUBLE_EQ(result.revenue[1], 0.0);
 }
 
+TEST(Sales, NonFiniteAmountIsMalformed) {
+  SalesAggregateFactory factory;
+  const auto input = bytes_of(
+      "1,tools,10.00\n"
+      "2,tools,nan\n"
+      "3,garden,inf\n"
+      "4,paint,-infinity\n"
+      "5,lumber,2.50\n");
+  const auto result = SalesAggregateFactory::decode(run_to_completion(factory, input));
+  EXPECT_DOUBLE_EQ(result.revenue[1], 10.0);  // tools
+  EXPECT_EQ(result.units[1], 1u);
+  EXPECT_DOUBLE_EQ(result.revenue[2], 0.0);  // garden
+  EXPECT_EQ(result.units[2], 0u);
+  EXPECT_DOUBLE_EQ(result.revenue[3], 2.5);  // lumber
+  EXPECT_EQ(result.malformed_records, 3u);
+  EXPECT_EQ(result.top_category(), 1u);
+}
+
 TEST(Sales, AggregateMatchesSingleRun) {
   Rng rng(8);
   SalesAggregateFactory factory;
