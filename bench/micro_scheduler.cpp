@@ -22,6 +22,7 @@
 #include "core/failure_aware.h"
 #include "core/greedy.h"
 #include "core/health.h"
+#include "core/locality.h"
 #include "core/pod_packing.h"
 #include "core/relaxation.h"
 #include "core/testbed.h"
@@ -87,6 +88,48 @@ BENCHMARK(BM_GreedyBuild)
     ->Args({128, 1024})
     ->Args({512, 2048})
     ->Unit(benchmark::kMillisecond);
+
+// The first scheduler build of a perfbench live-small batch, which the
+// server runs on its loop thread: four loopback phones (two sharing a CPU
+// register half its clock), 12,000 2 KB jobs cycling over four tasks with
+// the benchmark's host-measured prediction constants (ms/KB at 1600 MHz),
+// and the server's locality index bound (a manifest per job, no phone
+// caches). Few bins and many items: the shape the flat packer's item list
+// and per-bin bookkeeping dominate.
+void BM_GreedyBuildLiveSmall(benchmark::State& state) {
+  struct Task {
+    const char* name;
+    double c_ms_per_kb;
+    Kilobytes exec_kb;
+  };
+  const Task tasks[] = {{"prime-count", 0.040, 38.0},
+                        {"word-count:error", 0.018, 24.0},
+                        {"log-scan:disk failure", 0.0105, 31.0},
+                        {"sales-aggregate", 0.010, 27.0}};
+  core::PredictionModel prediction;
+  for (const Task& task : tasks) prediction.set_reference(task.name, task.c_ms_per_kb, 1600.0);
+  std::vector<core::PhoneSpec> phones;
+  for (const double mhz : {800.0, 800.0, 1600.0, 1600.0}) {
+    core::PhoneSpec phone;
+    phone.id = static_cast<PhoneId>(phones.size() + 1);
+    phone.cpu_mhz = mhz;
+    phone.b = 1000.0 / 1'000'000.0;  // a 1,000,000 KB/s loopback probe
+    phone.ram_kb = 512.0 * 1024.0;
+    phones.push_back(phone);
+  }
+  std::vector<core::JobSpec> jobs;
+  core::ChunkLocalityIndex locality;
+  for (int j = 0; j < 12'000; ++j) {
+    const Task& task = tasks[j % 4];
+    jobs.push_back({j, task.name, JobKind::kBreakable, task.exec_kb, 2.0});
+    locality.set_manifest(j, {static_cast<ChunkId>(j + 1) << 32 | 2048u});
+  }
+  core::GreedyScheduler scheduler;
+  scheduler.bind_locality(&locality);
+  for (auto _ : state) benchmark::DoNotOptimize(scheduler.build(jobs, phones, prediction));
+  state.SetLabel("4 phones, 12k jobs x 2 KB");
+}
+BENCHMARK(BM_GreedyBuildLiveSmall)->Unit(benchmark::kMillisecond);
 
 // Tracing overhead on the scheduler hot path. The greedy build's probe
 // loop carries one obs::trace_enabled() check (a relaxed atomic load) per
@@ -586,6 +629,40 @@ void BM_ServerSubmit(benchmark::State& state) {
   state.SetLabel("12k jobs x 2 KB, 4-task mix, journal on");
 }
 BENCHMARK(BM_ServerSubmit)->Unit(benchmark::kMillisecond);
+
+// One assignment frame as the server builds it: the fields, then the
+// executable (range(1) = 1: shipped; 0: the phone caches it) and the input
+// slice gathered from the shared image and the job's input into one
+// exactly sized frame. range(0) is the slice: a live-small piece (2 KB) or
+// a live-bulk job (1 MB).
+void BM_AssignEncode(benchmark::State& state) {
+  const auto input_bytes = static_cast<std::size_t>(state.range(0));
+  const bool ship_executable = state.range(1) != 0;
+  ExecutableImages images(64 * 1024);
+  const ExecutableImage& image = images.of_size(31 * 1024);
+  Rng rng(13);
+  const net::Blob input = tasks::make_log_input(rng, static_cast<double>(input_bytes) / 1024.0);
+  std::uint32_t piece_seq = 0;
+  for (auto _ : state) {
+    net::AssignPieceMsg fields;
+    fields.job = 7;
+    fields.piece_seq = ++piece_seq;
+    fields.task_name = "log-scan:disk failure";
+    fields.trace_piece = 11;
+    fields.trace_attempt = 0;
+    fields.trace_instant = 1;
+    net::AssignPayloads payloads;
+    if (ship_executable) payloads.executable.push_back(image.bytes);
+    payloads.input.push_back(input);
+    benchmark::DoNotOptimize(net::encode(fields, payloads));
+  }
+  const std::size_t frame_bytes = input.size() + (ship_executable ? image.bytes.size() : 0);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frame_bytes));
+}
+BENCHMARK(BM_AssignEncode)
+    ->ArgsProduct({{2 * 1024, 1024 * 1024}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 // A phone's execute step for each built-in task: a fresh instance stepped
 // over the whole input, as agents run an assignment. 2 KB is a live-small

@@ -58,6 +58,10 @@ void BufferWriter::write_bytes(std::span<const std::uint8_t> bytes) {
   append(bytes.data(), bytes.size());
 }
 
+void BufferWriter::write_raw(std::span<const std::uint8_t> bytes) {
+  append(bytes.data(), bytes.size());
+}
+
 void BufferWriter::write_string(std::string_view s) {
   write_u32(static_cast<std::uint32_t>(s.size()));
   append(s.data(), s.size());

@@ -34,7 +34,13 @@ class BufferWriter {
   void write_f64(double v);
   /// 32-bit length prefix followed by raw bytes.
   void write_bytes(std::span<const std::uint8_t> bytes);
+  /// Raw bytes with no length prefix (one piece of a blob whose prefix the
+  /// caller already wrote).
+  void write_raw(std::span<const std::uint8_t> bytes);
   void write_string(std::string_view s);
+  /// Capacity for `bytes` in total: a writer that knows its final size
+  /// then grows its buffer once.
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
 
   const std::vector<std::uint8_t>& data() const { return buffer_; }
   std::vector<std::uint8_t> take() { return std::move(buffer_); }

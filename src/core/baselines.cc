@@ -12,25 +12,36 @@ void annotate_costs(Schedule& schedule, const std::vector<JobSpec>& jobs,
                     const std::vector<PhoneSpec>& phones, const PredictionModel& prediction) {
   std::map<PhoneId, const PhoneSpec*> phone_by_id;
   for (const PhoneSpec& phone : phones) phone_by_id[phone.id] = &phone;
-  // One job lookup table for the whole schedule; plan_cost rebuilds its own
-  // per plan, which on wide fleets costs more than the annotation itself.
-  std::map<JobId, const JobSpec*> job_by_id;
-  for (const JobSpec& job : jobs) job_by_id[job.id] = &job;
+  // One job lookup for the whole schedule, and per job the number (from 1)
+  // of the last plan that shipped its executable: no tree node per job or
+  // per piece, which on 12k-job batches cost more than the annotation.
+  const JobLookup job_by_id(jobs);
+  std::vector<std::size_t> shipped_in_plan(jobs.size(), 0);
+  std::size_t plan_number = 0;
   schedule.predicted_makespan = 0.0;
   for (PhonePlan& plan : schedule.plans) {
+    ++plan_number;
     const PhoneSpec& phone = *phone_by_id.at(plan.phone);
     Millis total = 0.0;
-    std::set<JobId> executable_shipped;
+    // predict() is a string-keyed lookup; consecutive pieces mostly share
+    // a task (the packer orders items by a per-task key), so reuse the
+    // previous piece's c_ij while the task stays the same.
+    const std::string* task = nullptr;
+    MsPerKb c_ij = 0.0;
     for (const JobPiece& piece : plan.pieces) {
-      const auto it = job_by_id.find(piece.job);
-      if (it == job_by_id.end()) {
+      const std::optional<std::size_t> index = job_by_id.find(piece.job);
+      if (!index) {
         throw std::logic_error("annotate_costs: piece references unknown job " +
                                std::to_string(piece.job));
       }
-      const JobSpec& job = *it->second;
-      const bool first_piece = executable_shipped.insert(piece.job).second;
-      total += completion_time(job, phone, prediction.predict(job.task_name, phone),
-                               piece.input_kb, first_piece);
+      const JobSpec& job = jobs[*index];
+      const bool first_piece = shipped_in_plan[*index] != plan_number;
+      shipped_in_plan[*index] = plan_number;
+      if (task == nullptr || *task != job.task_name) {
+        task = &job.task_name;
+        c_ij = prediction.predict(job.task_name, phone);
+      }
+      total += completion_time(job, phone, c_ij, piece.input_kb, first_piece);
     }
     plan.predicted_finish = total;
     schedule.predicted_makespan = std::max(schedule.predicted_makespan, plan.predicted_finish);

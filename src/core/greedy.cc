@@ -5,11 +5,9 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "common/fault.h"
 #include "core/locality.h"
@@ -25,22 +23,23 @@ constexpr double kEps = 1e-9;
 
 using PackProblem = GreedyScheduler::PackProblem;
 
-/// Working state of one bin (phone) during a packing attempt. The job ->
-/// piece-slot map replaces the former linear scan over `pieces`, so fit
-/// computation is O(1) per (item, bin) regardless of how many pieces the
-/// bin already holds.
+/// Placed-matrix sentinel: the job has no piece in the bin yet (its
+/// executable cost is still owed). Amounts placed are never below -kEps, so
+/// a cell holds this exact value only until the job's first placement.
+constexpr Kilobytes kNoPiece = -1.0;
+
+/// Working state of one bin (phone) during a packing attempt.
 struct Bin {
-  std::size_t phone_index = 0;
   bool open = false;
   Millis height = 0.0;
-  std::vector<JobPiece> pieces;  // in packing order; merged per job
-  std::unordered_map<std::uint32_t, std::size_t> piece_slot;  // job index -> pieces slot
+  /// Jobs with a piece here, in first-placement order. Their merged KB
+  /// lives in the packer's placed matrix and is read back when the plan is
+  /// built, so placing a piece needs no per-(bin, job) map.
+  std::vector<std::uint32_t> jobs;
 };
 
-/// Sorted-list entry: a job with some input remaining. The packer keeps
-/// these in a std::set ordered by decreasing sort key (ties: lower job
-/// index first), making remove-front and re-insert O(log n) instead of the
-/// former O(n) vector erase / sorted_insert churn.
+/// Entry of the sorted item list L: a job with some input remaining. L is
+/// ordered by decreasing sort key, ties by lower job index.
 struct ItemKey {
   double sort_key = 0.0;  // remaining * c_sj, kept current on re-insertion
   std::uint32_t job_index = 0;
@@ -121,20 +120,20 @@ GreedyScheduler::PackProblem GreedyScheduler::prepare(const std::vector<JobSpec>
 
   // The c_ij matrix. predict() is a string-keyed map lookup — the expensive
   // part of a packing attempt — so issue it once per *task* (jobs of the
-  // same task share a row) and copy rows per job.
+  // same task share a row) and copy rows per job: one task lookup per job.
   p.cost.resize(jobs.size() * phones.size());
   std::map<std::string, std::vector<MsPerKb>> task_rows;
-  for (const JobSpec& job : jobs) {
-    auto [it, inserted] = task_rows.try_emplace(job.task_name);
-    if (!inserted) continue;
-    it->second.resize(phones.size());
-    for (std::size_t i = 0; i < phones.size(); ++i) {
-      it->second[i] = prediction.predict(job.task_name, phones[i]);
-    }
-  }
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const std::vector<MsPerKb>& row = task_rows.at(jobs[j].task_name);
-    std::copy(row.begin(), row.end(), p.cost.begin() + static_cast<std::ptrdiff_t>(j * phones.size()));
+    auto [it, inserted] = task_rows.try_emplace(jobs[j].task_name);
+    std::vector<MsPerKb>& row = it->second;
+    if (inserted) {
+      row.resize(phones.size());
+      for (std::size_t i = 0; i < phones.size(); ++i) {
+        row[i] = prediction.predict(jobs[j].task_name, phones[i]);
+      }
+    }
+    std::copy(row.begin(), row.end(),
+              p.cost.begin() + static_cast<std::ptrdiff_t>(j * phones.size()));
   }
 
   // Cached-bytes credit (locality.h): first-placement cost per (job, phone)
@@ -169,15 +168,18 @@ GreedyScheduler::PackProblem GreedyScheduler::prepare(const std::vector<JobSpec>
     }
   }
 
-  // Items sorted by decreasing slowest-phone execution time R_j * c_sj.
-  p.order.resize(jobs.size());
-  for (std::uint32_t j = 0; j < jobs.size(); ++j) p.order[j] = j;
-  std::sort(p.order.begin(), p.order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const double ka = jobs[a].input_kb * p.c(a, p.slowest);
-    const double kb = jobs[b].input_kb * p.c(b, p.slowest);
-    if (ka != kb) return ka > kb;
-    return a < b;
+  // Items sorted by decreasing slowest-phone execution time R_j * c_sj
+  // (ties: lower index), each key computed once and sorted beside its index.
+  std::vector<std::pair<double, std::uint32_t>> keyed(jobs.size());
+  for (std::uint32_t j = 0; j < jobs.size(); ++j) {
+    keyed[j] = {jobs[j].input_kb * p.c(j, p.slowest), j};
+  }
+  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
   });
+  p.order.resize(jobs.size());
+  for (std::size_t k = 0; k < keyed.size(); ++k) p.order[k] = keyed[k].second;
 
   // Both capacity bounds from the shared matrix in one sweep — the former
   // capacity_bounds re-predicted every (job, phone) pair twice over.
@@ -243,12 +245,19 @@ std::optional<Schedule> GreedyScheduler::pack_attempt(const PackProblem& problem
   const std::vector<PhoneSpec>& phones = *problem.phones;
   const Kilobytes min_partition = options_.min_partition_kb;
 
+  // L as a vector in *reverse* order: its front item is items.back(), so
+  // taking it is a pop, the "first item that fits" walk reads contiguous
+  // memory from the back, and a remainder (smaller key) is re-inserted by
+  // binary search. problem.order is already sorted by the same key.
   std::vector<Kilobytes> remaining(jobs.size());
-  std::set<ItemKey> items;
-  for (const std::uint32_t j : problem.order) {
+  std::vector<ItemKey> items;
+  items.reserve(jobs.size());
+  for (auto it = problem.order.rbegin(); it != problem.order.rend(); ++it) {
+    const std::uint32_t j = *it;
     remaining[j] = jobs[j].input_kb;
-    items.insert(items.end(), ItemKey{jobs[j].input_kb * problem.c(j, problem.slowest), j});
+    items.push_back(ItemKey{jobs[j].input_kb * problem.c(j, problem.slowest), j});
   }
+  const auto later_in_list = [](const ItemKey& a, const ItemKey& b) { return b < a; };
 
   std::vector<Bin> bins(phones.size());
   // Open bins sorted by ascending (height, index): "the opened bin of
@@ -264,7 +273,6 @@ std::optional<Schedule> GreedyScheduler::pack_attempt(const PackProblem& problem
     open_order.insert(std::lower_bound(open_order.begin(), open_order.end(), b, bin_before), b);
   };
   for (std::size_t i = 0; i < phones.size(); ++i) {
-    bins[i].phone_index = i;
     // A phone still working off earlier assignments starts loaded and is
     // already "open" (it is in active use; no partition-count penalty for
     // continuing to use it).
@@ -291,20 +299,19 @@ std::optional<Schedule> GreedyScheduler::pack_attempt(const PackProblem& problem
   std::uint32_t opened_epoch = 1;
   std::vector<std::uint32_t> all_fail_version(jobs.size(), 0);
   std::vector<std::uint32_t> all_fail_epoch(jobs.size(), 0);
-  // KB of job j already placed in bin b (negative sentinel: no piece yet,
-  // the executable cost is still owed). Mirrors Bin::piece_slot as a flat
-  // array so the fit hot path is pure arithmetic on contiguous memory.
-  std::vector<Kilobytes> placed(jobs.size() * bins.size(), -1.0);
+  // KB of job j already placed in bin b, or kNoPiece: a flat array, so the
+  // fit hot path is pure arithmetic on contiguous memory.
+  std::vector<Kilobytes> placed(jobs.size() * bins.size(), kNoPiece);
 
   while (!items.empty()) {
     // Line 4: first item in L that fits in any opened bin; line 6: among
     // fitting opened bins, the one with minimum height (first in
     // open_order).
-    auto chosen_item = items.end();
+    std::size_t chosen_item = items.size();  // index into items; size() = none
     std::size_t chosen_bin = bins.size();
     Fit chosen_fit;
-    for (auto it = items.begin(); it != items.end() && chosen_item == items.end(); ++it) {
-      const std::uint32_t ji = it->job_index;
+    for (std::size_t k = items.size(); k-- > 0 && chosen_item == items.size();) {
+      const std::uint32_t ji = items[k].job_index;
       const std::uint32_t stamp = item_version[ji];
       if (all_fail_version[ji] == stamp && all_fail_epoch[ji] == opened_epoch) continue;
       std::uint32_t* memo_row = no_fit.data() + ji * bins.size();
@@ -314,33 +321,32 @@ std::optional<Schedule> GreedyScheduler::pack_attempt(const PackProblem& problem
         const Fit fit = compute_fit(problem, capacity, min_partition, ji, remaining[ji], b,
                                     bins[b].height, placed_row[b]);
         if (fit.fits) {
-          chosen_item = it;
+          chosen_item = k;
           chosen_bin = b;
           chosen_fit = fit;
           break;
         }
         memo_row[b] = stamp;
       }
-      if (chosen_item == items.end()) {
+      if (chosen_item == items.size()) {
         all_fail_version[ji] = stamp;
         all_fail_epoch[ji] = opened_epoch;
       }
     }
 
-    if (chosen_item == items.end()) {
+    if (chosen_item == items.size()) {
       // Line 13-16: nothing fits; open the best unopened bin for the
       // largest (first) item — the bin packing it with minimum height
       // increase, i.e. minimum Equation-1 cost.
-      const auto largest = items.begin();
+      const std::uint32_t largest = items.back().job_index;
       Millis best_cost = std::numeric_limits<Millis>::infinity();
       std::size_t best_bin = bins.size();
       Fit best_fit;
       for (std::size_t b = 0; b < bins.size(); ++b) {
         if (bins[b].open) continue;
-        const Fit fit =
-            compute_fit(problem, capacity, min_partition, largest->job_index,
-                        remaining[largest->job_index], b, bins[b].height,
-                        placed[largest->job_index * bins.size() + b]);
+        const Fit fit = compute_fit(problem, capacity, min_partition, largest,
+                                    remaining[largest], b, bins[b].height,
+                                    placed[largest * bins.size() + b]);
         if (fit.fits && fit.cost < best_cost) {
           best_cost = fit.cost;
           best_bin = b;
@@ -351,8 +357,8 @@ std::optional<Schedule> GreedyScheduler::pack_attempt(const PackProblem& problem
         if (partial != nullptr) {
           // Best-effort mode: shelve the largest item's remainder for the
           // caller to re-home and keep packing the rest.
-          partial->leftovers.push_back({largest->job_index, remaining[largest->job_index]});
-          items.erase(largest);
+          partial->leftovers.push_back({largest, remaining[largest]});
+          items.pop_back();
           continue;
         }
         obs::counter("scheduler.pack_failures").inc();
@@ -361,19 +367,19 @@ std::optional<Schedule> GreedyScheduler::pack_attempt(const PackProblem& problem
       bins[best_bin].open = true;
       open_insert(static_cast<std::uint32_t>(best_bin));
       ++opened_epoch;  // invalidates the items' fails-everywhere watermarks
-      chosen_item = largest;
+      chosen_item = items.size() - 1;
       chosen_bin = best_bin;
       chosen_fit = best_fit;
     }
 
-    const std::uint32_t j = chosen_item->job_index;
+    const std::uint32_t j = items[chosen_item].job_index;
+    items.erase(items.begin() + static_cast<std::ptrdiff_t>(chosen_item));
     if (!chosen_fit.fits || chosen_fit.amount <= 0.0) {
       // Zero-size jobs (exec only) pack with amount 0; anything else here
       // means the capacity is infeasible.
       if (!(chosen_fit.fits && remaining[j] <= kEps)) {
         if (partial != nullptr) {
           partial->leftovers.push_back({j, remaining[j]});
-          items.erase(chosen_item);
           continue;
         }
         obs::counter("scheduler.pack_failures").inc();
@@ -384,13 +390,12 @@ std::optional<Schedule> GreedyScheduler::pack_attempt(const PackProblem& problem
     // Pack, merging with an existing piece of the same job (the executable
     // ships once per phone).
     Bin& bin = bins[chosen_bin];
-    if (const auto slot = bin.piece_slot.find(j); slot == bin.piece_slot.end()) {
-      bin.piece_slot.emplace(j, bin.pieces.size());
-      bin.pieces.push_back({jobs[j].id, chosen_fit.amount});
-      placed[j * bins.size() + chosen_bin] = chosen_fit.amount;
+    Kilobytes& placed_kb = placed[j * bins.size() + chosen_bin];
+    if (placed_kb == kNoPiece) {
+      bin.jobs.push_back(j);
+      placed_kb = chosen_fit.amount;
     } else {
-      bin.pieces[slot->second].input_kb += chosen_fit.amount;
-      placed[j * bins.size() + chosen_bin] += chosen_fit.amount;
+      placed_kb += chosen_fit.amount;
     }
     if (chosen_fit.cost > 0.0) {
       // Re-sort the grown bin into the open order (heights only grow).
@@ -401,28 +406,30 @@ std::optional<Schedule> GreedyScheduler::pack_attempt(const PackProblem& problem
       open_insert(static_cast<std::uint32_t>(chosen_bin));
     }
 
-    items.erase(chosen_item);
     ++item_version[j];
     remaining[j] -= chosen_fit.amount;
     if (remaining[j] > kEps * (1.0 + jobs[j].input_kb)) {
       // Lines 10-11: re-insert the remainder and keep L sorted.
-      items.insert(ItemKey{remaining[j] * problem.c(j, problem.slowest), j});
+      const ItemKey key{remaining[j] * problem.c(j, problem.slowest), j};
+      items.insert(std::lower_bound(items.begin(), items.end(), key, later_in_list), key);
     }
   }
 
   probe.feasible = partial == nullptr || partial->leftovers.empty();
+  Schedule schedule;
+  schedule.plans.resize(phones.size());
+  for (std::size_t b = 0; b < bins.size(); ++b) {
+    PhonePlan& plan = schedule.plans[b];
+    plan.phone = phones[b].id;
+    plan.pieces.reserve(bins[b].jobs.size());
+    for (const std::uint32_t job : bins[b].jobs) {
+      plan.pieces.push_back({jobs[job].id, placed[job * bins.size() + b]});
+    }
+  }
   if (partial != nullptr) {
     partial->heights.resize(bins.size());
     for (std::size_t b = 0; b < bins.size(); ++b) partial->heights[b] = bins[b].height;
     partial->placed = std::move(placed);
-  }
-  Schedule schedule;
-  schedule.plans.reserve(phones.size());
-  for (Bin& bin : bins) {
-    PhonePlan plan;
-    plan.phone = phones[bin.phone_index].id;
-    plan.pieces = std::move(bin.pieces);
-    schedule.plans.push_back(std::move(plan));
   }
   return schedule;
 }
@@ -525,8 +532,15 @@ Schedule GreedyScheduler::build_with_hint(const std::vector<JobSpec>& jobs,
   obs::counter("scheduler.bisections").inc(static_cast<double>(bisections));
   obs::gauge("scheduler.last_bisections").set(static_cast<double>(bisections));
   obs::gauge("scheduler.last_capacity_gap").set(ub > 0.0 ? (ub - lb) / ub : 0.0);
+  // Fig. 12(b)'s partition count: the pieces of every job split over two
+  // or more phones (a job assigned whole counts 0).
+  const JobLookup job_by_id(jobs);
+  std::vector<std::uint32_t> pieces_of(jobs.size(), 0);
+  for (const PhonePlan& plan : best->plans) {
+    for (const JobPiece& piece : plan.pieces) ++pieces_of[*job_by_id.find(piece.job)];
+  }
   std::size_t partitions = 0;
-  for (const auto& [job, parts] : best->partitions_per_job()) partitions += parts;
+  for (const std::uint32_t pieces : pieces_of) partitions += pieces >= 2 ? pieces : 0;
   obs::counter("scheduler.partitions_created").inc(static_cast<double>(partitions));
 
   annotate_costs(*best, jobs, phones, prediction);

@@ -1,6 +1,8 @@
 #include "core/schedule.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -34,6 +36,33 @@ Kilobytes Schedule::assigned_kb(JobId job) const {
     }
   }
   return total;
+}
+
+JobLookup::JobLookup(const std::vector<JobSpec>& jobs) {
+  sorted_.reserve(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    sorted_.emplace_back(jobs[j].id, static_cast<std::uint32_t>(j));
+  }
+  // Jobs usually arrive in id order already; then the sort is skipped.
+  if (!std::is_sorted(sorted_.begin(), sorted_.end())) std::sort(sorted_.begin(), sorted_.end());
+}
+
+std::optional<std::size_t> JobLookup::find(JobId id) const {
+  if (sorted_.empty()) return std::nullopt;
+  // Ids are usually one dense run, where an id sits at its offset from the
+  // smallest id: check that slot before searching. Either way the answer
+  // is the last pair with this id, so the highest index wins, as a map's
+  // would.
+  const std::int64_t slot = std::int64_t{id} - sorted_.front().first;
+  const auto size = static_cast<std::int64_t>(sorted_.size());
+  if (slot >= 0 && slot < size && sorted_[static_cast<std::size_t>(slot)].first == id &&
+      (slot + 1 == size || sorted_[static_cast<std::size_t>(slot) + 1].first != id)) {
+    return sorted_[static_cast<std::size_t>(slot)].second;
+  }
+  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(),
+                                   std::make_pair(id, std::numeric_limits<std::uint32_t>::max()));
+  if (it == sorted_.begin() || std::prev(it)->first != id) return std::nullopt;
+  return std::prev(it)->second;
 }
 
 Millis plan_cost(const PhonePlan& plan, const std::vector<JobSpec>& jobs, const PhoneSpec& phone,

@@ -8,8 +8,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -45,6 +48,20 @@ struct Schedule {
 
   /// Total KB of `job` assigned across all phones.
   Kilobytes assigned_kb(JobId job) const;
+};
+
+/// Job id -> position in a job vector, for paths that resolve every piece
+/// of a schedule: one sort of (id, index) pairs, then per lookup a probe of
+/// the id's slot in a dense run of ids or a binary search, with no per-job
+/// node allocation. Like a map filled in vector order, a duplicated id
+/// resolves to the last job carrying it.
+class JobLookup {
+ public:
+  explicit JobLookup(const std::vector<JobSpec>& jobs);
+  std::optional<std::size_t> find(JobId id) const;
+
+ private:
+  std::vector<std::pair<JobId, std::uint32_t>> sorted_;
 };
 
 /// Recomputes a plan's predicted finish from the model (Equation 1 summed

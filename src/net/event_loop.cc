@@ -132,7 +132,14 @@ void EventLoop::arm_repeat(TimerId handle) {
     // Held across the call: the callback may cancel its own handle.
     const std::shared_ptr<RepeatState> repeat = it->second;
     repeat->callback();
-    if (repeats_.count(handle) != 0) arm_repeat(handle);
+    // Re-arm after the advance that fired it, from the loop's current
+    // time, not from the tick the wheel stepped to. After a stall of N
+    // periods the repeat then fires once, not N times in one advance (the
+    // keep-alive counts one miss per firing, so a burst would declare
+    // every healthy phone lost), and its next firing is a period later.
+    post([this, handle] {
+      if (repeats_.count(handle) != 0) arm_repeat(handle);
+    });
   });
 }
 

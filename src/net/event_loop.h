@@ -66,7 +66,9 @@ class EventLoop {
   /// One-shot timer `delay_ms` from now; cancel with cancel().
   TimerId schedule(Millis delay_ms, TimerWheel::Callback callback);
   /// Repeating timer. The callback's TimerId handle tracks the current
-  /// arming, so cancel() stops the repetition.
+  /// arming, so cancel() stops the repetition. A repeat fires at most once
+  /// per round: its next deadline is `period_ms` after the round that ran
+  /// it, so a loop that stalled for several periods does not replay them.
   TimerId every(Millis period_ms, std::function<void()> callback);
   bool cancel(TimerId id);
 

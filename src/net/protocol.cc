@@ -115,21 +115,61 @@ ProbeReportMsg decode_probe_report(const Blob& frame) {
   return ProbeReportMsg{r.read_f64()};
 }
 
-Blob encode(const AssignPieceMsg& msg) {
-  BufferWriter w = begin(MsgType::kAssignPiece);
-  w.write_i32(msg.job);
-  w.write_u32(msg.piece_seq);
-  w.write_string(msg.task_name);
-  w.write_u8(static_cast<std::uint8_t>(msg.kind));
-  w.write_bytes(msg.executable);
-  w.write_bytes(msg.input);
-  w.write_bytes(msg.checkpoint);
-  w.write_i32(msg.trace_piece);
-  w.write_i32(msg.trace_attempt);
-  w.write_i64(msg.trace_instant);
+std::size_t gathered_size(const ByteSpans& spans) {
+  std::size_t bytes = 0;
+  for (const std::span<const std::uint8_t> span : spans) bytes += span.size();
+  return bytes;
+}
+
+namespace {
+
+// Wire bytes of one ChunkWire (id, offset, shipped) and of one input
+// fragment (begin, end).
+constexpr std::size_t kChunkWireBytes = 8 + 8 + 1;
+constexpr std::size_t kFragmentWireBytes = 8 + 8;
+
+void write_gathered(BufferWriter& w, const ByteSpans& spans) {
+  w.write_u32(static_cast<std::uint32_t>(gathered_size(spans)));
+  for (const std::span<const std::uint8_t> span : spans) w.write_raw(span);
+}
+
+}  // namespace
+
+std::size_t encoded_size(const AssignPieceMsg& fields, const AssignPayloads& payloads) {
+  // Field by field as encode() writes them: type, job, piece_seq, the
+  // task name, kind, the three length-prefixed blobs, the trace ids.
+  std::size_t bytes = 1 + 4 + 4;
+  bytes += 4 + fields.task_name.size() + 1;
+  bytes += 4 + gathered_size(payloads.executable);
+  bytes += 4 + gathered_size(payloads.input);
+  bytes += 4 + payloads.checkpoint.size();
+  bytes += 4 + 4 + 8;
+  if (fields.chunked) {
+    bytes += 1;
+    bytes += 4 + kChunkWireBytes * fields.exec_chunks.size();
+    bytes += 4 + kChunkWireBytes * fields.input_chunks.size();
+    bytes += 4 + kFragmentWireBytes * fields.input_fragments.size();
+  }
+  return bytes;
+}
+
+Blob encode(const AssignPieceMsg& fields, const AssignPayloads& payloads) {
+  BufferWriter w;
+  w.reserve(encoded_size(fields, payloads));
+  w.write_u8(static_cast<std::uint8_t>(MsgType::kAssignPiece));
+  w.write_i32(fields.job);
+  w.write_u32(fields.piece_seq);
+  w.write_string(fields.task_name);
+  w.write_u8(static_cast<std::uint8_t>(fields.kind));
+  write_gathered(w, payloads.executable);
+  write_gathered(w, payloads.input);
+  w.write_bytes(payloads.checkpoint);
+  w.write_i32(fields.trace_piece);
+  w.write_i32(fields.trace_attempt);
+  w.write_i64(fields.trace_instant);
   // The chunk section is appended only for cache-enabled phones, so frames
   // to legacy (or cache-less) agents stay byte-identical to the old format.
-  if (msg.chunked) {
+  if (fields.chunked) {
     w.write_u8(1);
     const auto write_chunks = [&w](const std::vector<ChunkWire>& chunks) {
       w.write_u32(static_cast<std::uint32_t>(chunks.size()));
@@ -139,15 +179,19 @@ Blob encode(const AssignPieceMsg& msg) {
         w.write_u8(chunk.shipped ? 1 : 0);
       }
     };
-    write_chunks(msg.exec_chunks);
-    write_chunks(msg.input_chunks);
-    w.write_u32(static_cast<std::uint32_t>(msg.input_fragments.size()));
-    for (const auto& [begin, end] : msg.input_fragments) {
+    write_chunks(fields.exec_chunks);
+    write_chunks(fields.input_chunks);
+    w.write_u32(static_cast<std::uint32_t>(fields.input_fragments.size()));
+    for (const auto& [begin, end] : fields.input_fragments) {
       w.write_u64(begin);
       w.write_u64(end);
     }
   }
   return w.take();
+}
+
+Blob encode(const AssignPieceMsg& msg) {
+  return encode(msg, AssignPayloads{{msg.executable}, {msg.input}, msg.checkpoint});
 }
 
 AssignPieceMsg decode_assign_piece(const Blob& frame) {

@@ -14,7 +14,9 @@
 // All payloads use the little-endian BufferWriter/BufferReader format.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,6 +138,28 @@ struct AssignPieceMsg {
 };
 Blob encode(const AssignPieceMsg& msg);
 AssignPieceMsg decode_assign_piece(const Blob& frame);
+
+/// Byte ranges that go on the wire back to back as one length-prefixed blob.
+using ByteSpans = std::vector<std::span<const std::uint8_t>>;
+std::size_t gathered_size(const ByteSpans& spans);
+
+/// The three blobs of an assignment, borrowed from storage the caller
+/// keeps alive while encoding: the shared executable image, the job's
+/// input (its slice fragments, or the shipped chunks), a checkpoint.
+struct AssignPayloads {
+  ByteSpans executable;
+  ByteSpans input;
+  std::span<const std::uint8_t> checkpoint;
+};
+
+/// Exact byte size of encode(fields, payloads).
+std::size_t encoded_size(const AssignPieceMsg& fields, const AssignPayloads& payloads);
+/// The assignment frame of `fields` with its executable, input and
+/// checkpoint blobs read from `payloads`; the three blobs inside `fields`
+/// are not read. The frame is allocated at its exact size and each payload
+/// byte is copied once, straight from its source. encode(msg) is this
+/// with the message's own blobs, so both forms write the same bytes.
+Blob encode(const AssignPieceMsg& fields, const AssignPayloads& payloads);
 
 struct PieceCompleteMsg {
   JobId job = kInvalidJob;

@@ -525,14 +525,14 @@ void CwcServer::assign_next_piece(Connection& c) {
   } else {
     c.piece_fragments = carve_slice(job, work->piece.input_kb);
   }
-  AssignPieceMsg msg = new_assignment(c, job, work->identity, work->executable_cached,
-                                      atomic ? whole_input : c.piece_fragments);
-  msg.checkpoint = work->checkpoint;
+  Assignment assignment = new_assignment(c, job, work->identity, work->executable_cached,
+                                         atomic ? whole_input : c.piece_fragments);
+  assignment.payloads.checkpoint = work->checkpoint;
   lifecycle_.start(c.phone, *work, now_ms_, /*rescheduled=*/false);
   // Keep the encoded frame so the retry timer can re-deliver it verbatim
   // (same piece_seq and (piece, attempt) identity → idempotent on the
   // agent side).
-  c.assign_frame = std::make_shared<const Blob>(encode(msg));
+  c.assign_frame = std::make_shared<const Blob>(encode(assignment.fields, assignment.payloads));
   c.assign_sent_ms = now_ms_;
   c.assign_retries = 0;
   bool deliver = true;
@@ -557,8 +557,8 @@ void CwcServer::assign_next_piece(Connection& c) {
     obs::TraceEvent event;
     event.type = obs::TraceEventType::kPieceShipped;
     event.t = obs::trace_now();
-    event.value = static_cast<double>(msg.input.size()) / 1024.0;
-    event.job = msg.job;
+    event.value = static_cast<double>(gathered_size(assignment.payloads.input)) / 1024.0;
+    event.job = assignment.fields.job;
     event.piece = work->identity.piece;
     event.attempt = work->identity.attempt;
     event.instant = work->identity.instant;
@@ -628,10 +628,11 @@ bool CwcServer::ship_backup(PhoneId backup_id, PhoneId primary_id,
   // The backup re-executes the primary's exact byte ranges from scratch
   // (breakable pieces carry no checkpoint).
   backup.piece_fragments = find_connection(primary_id)->piece_fragments;
-  backup.assign_frame = std::make_shared<const Blob>(
-      encode(new_assignment(backup, jobs_.at(attempt.job), attempt.identity,
-                            controller_.executable_cached(backup_id, attempt.job),
-                            backup.piece_fragments)));
+  const Assignment assignment =
+      new_assignment(backup, jobs_.at(attempt.job), attempt.identity,
+                     controller_.executable_cached(backup_id, attempt.job), backup.piece_fragments);
+  backup.assign_frame =
+      std::make_shared<const Blob>(encode(assignment.fields, assignment.payloads));
   backup.assign_sent_ms = now_ms_;
   backup.assign_retries = 0;
   send_frame(backup.outbox, backup.assign_frame);
@@ -642,24 +643,30 @@ bool CwcServer::ship_backup(PhoneId backup_id, PhoneId primary_id,
   return true;
 }
 
-AssignPieceMsg CwcServer::new_assignment(Connection& c, const JobState& job,
-                                         const core::PieceIdentity& identity,
-                                         bool executable_cached, const Fragments& fragments) {
-  AssignPieceMsg msg;
-  msg.job = job.spec.id;
-  msg.piece_seq = ++c.piece_seq;
-  msg.task_name = job.spec.task_name;
-  msg.kind = job.spec.kind;
-  if (!executable_cached) msg.executable = job.executable->bytes;
-  for (const auto& [begin, end] : fragments) {
-    msg.input.insert(msg.input.end(), job.input.begin() + static_cast<std::ptrdiff_t>(begin),
-                     job.input.begin() + static_cast<std::ptrdiff_t>(end));
+CwcServer::Assignment CwcServer::new_assignment(Connection& c, const JobState& job,
+                                                const core::PieceIdentity& identity,
+                                                bool executable_cached,
+                                                const Fragments& fragments) {
+  Assignment assignment;
+  AssignPieceMsg& fields = assignment.fields;
+  fields.job = job.spec.id;
+  fields.piece_seq = ++c.piece_seq;
+  fields.task_name = job.spec.task_name;
+  fields.kind = job.spec.kind;
+  fields.trace_piece = identity.piece;
+  fields.trace_attempt = identity.attempt;
+  fields.trace_instant = identity.instant;
+  if (chunking_enabled(c)) {
+    chunk_assignment(c, assignment, job,
+                     !executable_cached && !job.executable->bytes.empty(), fragments);
+    return assignment;
   }
-  msg.trace_piece = identity.piece;
-  msg.trace_attempt = identity.attempt;
-  msg.trace_instant = identity.instant;
-  if (chunking_enabled(c)) chunk_assignment(c, msg, job, fragments);
-  return msg;
+  if (!executable_cached) assignment.payloads.executable.push_back(job.executable->bytes);
+  const std::span<const std::uint8_t> input(job.input);
+  for (const auto& [begin, end] : fragments) {
+    assignment.payloads.input.push_back(input.subspan(begin, end - begin));
+  }
+  return assignment;
 }
 
 namespace {
@@ -820,9 +827,10 @@ bool CwcServer::chunking_enabled(const Connection& c) const {
   return config_.chunk_bytes > 0 && chunk_dirs_.count(c.phone) != 0;
 }
 
-void CwcServer::chunk_assignment(Connection& c, AssignPieceMsg& msg, const JobState& job,
-                                 const Fragments& wire_fragments) {
+void CwcServer::chunk_assignment(Connection& c, Assignment& assignment, const JobState& job,
+                                 bool ship_executable, const Fragments& wire_fragments) {
   ChunkDirectory& dir = chunk_dirs_.at(c.phone);
+  AssignPieceMsg& msg = assignment.fields;
   msg.chunked = true;
   msg.input_fragments.assign(wire_fragments.begin(), wire_fragments.end());
 
@@ -830,10 +838,10 @@ void CwcServer::chunk_assignment(Connection& c, AssignPieceMsg& msg, const JobSt
   double miss_kb = 0.0;
   double evicted_bytes = 0.0;
 
-  // Walks one chunk: records it in `out`, keeps its payload only when the
+  // Walks one chunk: records it in `out`, gathers its payload only when the
   // directory says the phone lacks it, and updates the LRU mirror either way.
-  const auto place = [&](const ChunkRef& ref, const Blob& source, std::vector<ChunkWire>& out,
-                         Blob& payloads) {
+  const auto place = [&](const ChunkRef& ref, std::span<const std::uint8_t> source,
+                         std::vector<ChunkWire>& out, ByteSpans& payloads) {
     ChunkWire wire{ref.id, ref.offset, false};
     const double kb = static_cast<double>(chunk_size_of(ref.id)) / 1024.0;
     if (dir.contains(ref.id)) {
@@ -843,28 +851,23 @@ void CwcServer::chunk_assignment(Connection& c, AssignPieceMsg& msg, const JobSt
       wire.shipped = true;
       evicted_bytes += static_cast<double>(dir.insert(ref.id));
       miss_kb += kb;
-      const auto offset = static_cast<std::ptrdiff_t>(ref.offset);
-      payloads.insert(payloads.end(), source.begin() + offset,
-                      source.begin() + offset + static_cast<std::ptrdiff_t>(chunk_size_of(ref.id)));
+      payloads.push_back(source.subspan(ref.offset, chunk_size_of(ref.id)));
     }
     out.push_back(wire);
   };
 
   // Executable: the whole grid, unless the legacy per-job executable cache
-  // already suppressed it (msg.executable empty = the agent holds a copy
-  // keyed by job id; no chunks needed at all).
-  if (!msg.executable.empty()) {
-    Blob exec_payloads;
+  // already suppressed it (the agent holds a copy keyed by job id; no
+  // chunks needed at all).
+  if (ship_executable) {
     for (const ChunkRef& ref : job.executable->chunks) {
-      place(ref, job.executable->bytes, msg.exec_chunks, exec_payloads);
+      place(ref, job.executable->bytes, msg.exec_chunks, assignment.payloads.executable);
     }
-    msg.executable = std::move(exec_payloads);
   }
 
   // Input: the grid chunks covering each wire fragment, indexed straight
   // into the job's pre-computed grid (no re-hashing). Adjacent fragments
   // can share a boundary chunk — list it once.
-  Blob input_payloads;
   std::set<std::uint64_t> listed;
   for (const auto& [begin, end] : wire_fragments) {
     if (end <= begin) continue;
@@ -873,10 +876,9 @@ void CwcServer::chunk_assignment(Connection& c, AssignPieceMsg& msg, const JobSt
     for (std::size_t k = first; k <= last && k < job.input_chunks.size(); ++k) {
       const ChunkRef& ref = job.input_chunks[k];
       if (!listed.insert(ref.offset).second) continue;
-      place(ref, job.input, msg.input_chunks, input_payloads);
+      place(ref, job.input, msg.input_chunks, assignment.payloads.input);
     }
   }
-  msg.input = std::move(input_payloads);
 
   obs::counter("cache.hit_kb").inc(hit_kb);
   obs::counter("cache.miss_kb").inc(miss_kb);
@@ -905,35 +907,31 @@ void CwcServer::on_chunk_request(Connection& c, const ChunkRequestMsg& msg) {
   const std::set<ChunkId> missing(msg.missing.begin(), msg.missing.end());
   JobState& job = jobs_.at(assign.job);
 
-  // Rebuild both payload blobs with the missing ids flipped to shipped.
+  // Re-gather both payloads with the missing ids flipped to shipped.
   // Chunk offsets address the job's shared executable image and its
   // original input.
   double reshipped_kb = 0.0;
-  const auto rebuild = [&](std::vector<ChunkWire>& chunks, const Blob& source) {
-    Blob payloads;
+  AssignPayloads payloads;
+  payloads.checkpoint = assign.checkpoint;
+  const auto regather = [&](std::vector<ChunkWire>& chunks, std::span<const std::uint8_t> source,
+                            ByteSpans& out) {
     for (ChunkWire& chunk : chunks) {
       if (!chunk.shipped && missing.count(chunk.id) != 0) {
         chunk.shipped = true;
         reshipped_kb += static_cast<double>(chunk_size_of(chunk.id)) / 1024.0;
       }
-      if (chunk.shipped) {
-        const auto offset = static_cast<std::ptrdiff_t>(chunk.offset);
-        payloads.insert(payloads.end(), source.begin() + offset,
-                        source.begin() + offset +
-                            static_cast<std::ptrdiff_t>(chunk_size_of(chunk.id)));
-      }
+      if (chunk.shipped) out.push_back(source.subspan(chunk.offset, chunk_size_of(chunk.id)));
     }
-    return payloads;
   };
-  assign.executable = rebuild(assign.exec_chunks, job.executable->bytes);
-  assign.input = rebuild(assign.input_chunks, job.input);
+  regather(assign.exec_chunks, job.executable->bytes, payloads.executable);
+  regather(assign.input_chunks, job.input, payloads.input);
   // Re-shipping restores the chunks on the phone, so the directory keeps
   // (refreshes) them; the agent re-inserts on receipt symmetrically.
   if (const auto dir = chunk_dirs_.find(c.phone); dir != chunk_dirs_.end()) {
     for (const ChunkId id : msg.missing) dir->second.insert(id);
   }
 
-  c.assign_frame = std::make_shared<const Blob>(encode(assign));
+  c.assign_frame = std::make_shared<const Blob>(encode(assign, payloads));
   c.assign_sent_ms = now_ms_;
   obs::counter("cache.refetch_kb").inc(reshipped_kb);
   if (obs::trace_enabled()) {

@@ -249,20 +249,26 @@ class CwcServer {
   /// True when assignments to this phone should use chunked shipping (the
   /// server chunks and the phone registered a cache budget).
   bool chunking_enabled(const Connection& c) const;
-  /// Rewrites a fully-materialized assignment (msg.executable = whole
-  /// synthesized executable or empty, msg.input = whole slice) into chunked
-  /// form for a cache-enabled phone: consults the phone's directory, keeps
-  /// only missing chunks' payloads in the blobs, and updates the directory
-  /// and cache counters. `wire_fragments` are the byte ranges of the
-  /// original job input that msg.input concatenates.
-  void chunk_assignment(Connection& c, AssignPieceMsg& msg, const JobState& job,
-                        const Fragments& wire_fragments);
-  /// An assignment frame for `c` that ships the job's executable (unless
-  /// the phone caches it) and the concatenated `fragments` of its input,
+  /// An assignment's fields plus its payloads, borrowed from the job's
+  /// input and executable image: encode(fields, payloads) copies each
+  /// payload byte once, straight into the frame.
+  struct Assignment {
+    AssignPieceMsg fields;  ///< its blobs stay empty; `payloads` carries them
+    AssignPayloads payloads;
+  };
+  /// Chunked form of an assignment for a cache-enabled phone: consults the
+  /// phone's directory, lists every chunk of the executable (when
+  /// `ship_executable`) and of the input `wire_fragments`, gathers only the
+  /// missing chunks' payloads, and updates the directory and cache
+  /// counters.
+  void chunk_assignment(Connection& c, Assignment& assignment, const JobState& job,
+                        bool ship_executable, const Fragments& wire_fragments);
+  /// An assignment for `c` that ships the job's executable (unless the
+  /// phone caches it) and the concatenated `fragments` of its input,
   /// chunked when the phone has a cache.
-  AssignPieceMsg new_assignment(Connection& c, const JobState& job,
-                                const core::PieceIdentity& identity, bool executable_cached,
-                                const Fragments& fragments);
+  Assignment new_assignment(Connection& c, const JobState& job,
+                            const core::PieceIdentity& identity, bool executable_cached,
+                            const Fragments& fragments);
   /// The phone reported cached chunks missing/corrupt: evict them from the
   /// directory mirror and re-send the in-flight assignment with those
   /// chunks force-shipped.

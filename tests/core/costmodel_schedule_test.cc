@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/costmodel.h"
 #include "core/scheduler.h"
@@ -54,6 +58,34 @@ TEST(Schedule, PartitionCountsDistinguishWholeAssignments) {
   EXPECT_EQ(partitions.at(2), 2u);  // split in two
   EXPECT_EQ(partitions.at(3), 0u);
   EXPECT_NEAR(schedule.assigned_kb(2), 100.0, 1e-9);
+}
+
+TEST(Schedule, JobLookupResolvesIdsLikeAMapFilledInOrder) {
+  const auto jobs_with_ids = [](std::vector<JobId> ids) {
+    std::vector<JobSpec> jobs;
+    for (const JobId id : ids) jobs.push_back({id, "prime-count", JobKind::kBreakable, 1.0, 1.0});
+    return jobs;
+  };
+  // A dense run, a sparse unsorted set with negative ids, and duplicates:
+  // a duplicated id resolves to the last job carrying it.
+  for (const std::vector<JobId>& ids :
+       {std::vector<JobId>{40, 41, 42, 43}, std::vector<JobId>{9, -3, 1000, 7, -1},
+        std::vector<JobId>{5, 6, 6, 7, 5}, std::vector<JobId>{}}) {
+    const std::vector<JobSpec> jobs = jobs_with_ids(ids);
+    const JobLookup lookup(jobs);
+    std::map<JobId, std::size_t> reference;
+    for (std::size_t j = 0; j < jobs.size(); ++j) reference[jobs[j].id] = j;
+    for (JobId id = -5; id <= 1001; ++id) {
+      const auto it = reference.find(id);
+      const std::optional<std::size_t> got = lookup.find(id);
+      if (it == reference.end()) {
+        EXPECT_FALSE(got.has_value()) << "id " << id;
+      } else {
+        ASSERT_TRUE(got.has_value()) << "id " << id;
+        EXPECT_EQ(*got, it->second) << "id " << id;
+      }
+    }
+  }
 }
 
 TEST(Schedule, ValidateCatchesUndercoverage) {

@@ -1,9 +1,9 @@
 // Event loop unit suite, run against both backends: watcher dispatch over
 // a socketpair, write interest (alone, beside read interest, and waiting
-// out a full send buffer), timer fire/cancel, repeating timers, post()
-// ordering, and the self-unwatch-during-dispatch case the server's
-// teardown path relies on (a callback destroying its own registration
-// must not crash the loop).
+// out a full send buffer), timer fire/cancel, repeating timers (also
+// after a stall), post() ordering, and the self-unwatch-during-dispatch
+// case the server's teardown path relies on (a callback destroying its
+// own registration must not crash the loop).
 #include "net/event_loop.h"
 
 #include <fcntl.h>
@@ -13,9 +13,11 @@
 
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace cwc::net {
@@ -154,6 +156,24 @@ TEST_P(EventLoopTest, CancelledRepeatingTimerFreesItsCallback) {
     EXPECT_TRUE(loop.cancel(handle));
   }
   EXPECT_TRUE(watch.expired());
+}
+
+TEST_P(EventLoopTest, RepeatFiresOnceAfterAStall) {
+  // A loop that stalls for several periods (a long handler, a slow
+  // scheduler build, hypervisor steal) must not replay the missed firings
+  // in one burst: the server's keep-alive counts a miss per firing, so a
+  // burst declares healthy phones lost before their acks are read.
+  EventLoop loop(GetParam());
+  std::vector<Millis> fired_at;
+  loop.every(100.0, [&] { fired_at.push_back(loop.now_ms()); });
+  loop.run_once(0.0);  // anchors the loop's clock
+  std::this_thread::sleep_for(std::chrono::milliseconds(450));
+  loop.run_once(0.0);
+  ASSERT_EQ(fired_at.size(), 1u) << "a 450 ms stall replayed the 100 ms repeat";
+  // The next firing is a full period after the late one, not a catch-up.
+  for (int i = 0; i < 100 && fired_at.size() < 2; ++i) loop.run_once(200.0);
+  ASSERT_EQ(fired_at.size(), 2u);
+  EXPECT_GE(fired_at[1] - fired_at[0], 99.0);  // whole-tick rounding
 }
 
 TEST_P(EventLoopTest, PostRunsAfterDispatchRound) {

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/buffer.h"
+#include "common/chunk.h"
+#include "common/rng.h"
 #include "net/framing.h"
 #include "net/protocol.h"
 
@@ -153,6 +160,211 @@ TEST(Protocol, AssignPieceTraceContextDefaultsToUnset) {
   EXPECT_EQ(decoded.trace_piece, -1);
   EXPECT_EQ(decoded.trace_attempt, -1);
   EXPECT_EQ(decoded.trace_instant, -1);
+}
+
+// --- Single-copy assignment frames ----------------------------------------
+//
+// The server encodes an assignment straight from the shared executable
+// image and the job's input: encode(fields, payloads) gathers byte ranges
+// into one exactly sized frame. Each case below must give, byte for byte,
+// the frame a field-by-field writer makes from the materialized message
+// (the format as first defined), and encode(msg) must agree; the frame
+// must also decode back to that message.
+
+/// The assignment wire format, written one field at a time into a growing
+/// buffer from fully materialized blobs.
+Blob reference_assign_frame(const AssignPieceMsg& msg) {
+  BufferWriter w;
+  w.write_u8(static_cast<std::uint8_t>(MsgType::kAssignPiece));
+  w.write_i32(msg.job);
+  w.write_u32(msg.piece_seq);
+  w.write_string(msg.task_name);
+  w.write_u8(static_cast<std::uint8_t>(msg.kind));
+  w.write_bytes(msg.executable);
+  w.write_bytes(msg.input);
+  w.write_bytes(msg.checkpoint);
+  w.write_i32(msg.trace_piece);
+  w.write_i32(msg.trace_attempt);
+  w.write_i64(msg.trace_instant);
+  if (msg.chunked) {
+    w.write_u8(1);
+    for (const std::vector<ChunkWire>* chunks : {&msg.exec_chunks, &msg.input_chunks}) {
+      w.write_u32(static_cast<std::uint32_t>(chunks->size()));
+      for (const ChunkWire& chunk : *chunks) {
+        w.write_u64(chunk.id);
+        w.write_u64(chunk.offset);
+        w.write_u8(chunk.shipped ? 1 : 0);
+      }
+    }
+    w.write_u32(static_cast<std::uint32_t>(msg.input_fragments.size()));
+    for (const auto& [begin, end] : msg.input_fragments) {
+      w.write_u64(begin);
+      w.write_u64(end);
+    }
+  }
+  return w.take();
+}
+
+Blob concat(const ByteSpans& spans) {
+  Blob out;
+  for (const std::span<const std::uint8_t> span : spans) {
+    out.insert(out.end(), span.begin(), span.end());
+  }
+  return out;
+}
+
+/// Shared sources, as the server holds them: one executable image of a
+/// typical task's size on a 4 KB grid, and a 64 KB job input.
+struct FrameSources {
+  FrameSources() : images(4 * 1024), image(images.of_size(31 * 1024)) {
+    Rng rng(9);
+    input.resize(64 * 1024);
+    for (std::uint8_t& byte : input) byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    input_chunks = chunk_blob(input, 4 * 1024);
+  }
+  std::span<const std::uint8_t> slice(std::size_t begin, std::size_t end) const {
+    return std::span<const std::uint8_t>(input).subspan(begin, end - begin);
+  }
+  ExecutableImages images;
+  const ExecutableImage& image;
+  Blob input;
+  std::vector<ChunkRef> input_chunks;
+};
+
+AssignPieceMsg assignment_fields(JobKind kind = JobKind::kBreakable) {
+  AssignPieceMsg fields;
+  fields.job = 1207;
+  fields.piece_seq = 19;
+  fields.task_name = "log-scan:disk failure";
+  fields.kind = kind;
+  fields.trace_piece = 5003;
+  fields.trace_attempt = 1;
+  fields.trace_instant = 12;
+  return fields;
+}
+
+void expect_same_assignment(const AssignPieceMsg& got, const AssignPieceMsg& want) {
+  EXPECT_EQ(got.job, want.job);
+  EXPECT_EQ(got.piece_seq, want.piece_seq);
+  EXPECT_EQ(got.task_name, want.task_name);
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.executable, want.executable);
+  EXPECT_EQ(got.input, want.input);
+  EXPECT_EQ(got.checkpoint, want.checkpoint);
+  EXPECT_EQ(got.trace_piece, want.trace_piece);
+  EXPECT_EQ(got.trace_attempt, want.trace_attempt);
+  EXPECT_EQ(got.trace_instant, want.trace_instant);
+  EXPECT_EQ(got.chunked, want.chunked);
+  ASSERT_EQ(got.exec_chunks.size(), want.exec_chunks.size());
+  for (std::size_t i = 0; i < got.exec_chunks.size(); ++i) {
+    EXPECT_EQ(got.exec_chunks[i].id, want.exec_chunks[i].id);
+    EXPECT_EQ(got.exec_chunks[i].offset, want.exec_chunks[i].offset);
+    EXPECT_EQ(got.exec_chunks[i].shipped, want.exec_chunks[i].shipped);
+  }
+  ASSERT_EQ(got.input_chunks.size(), want.input_chunks.size());
+  for (std::size_t i = 0; i < got.input_chunks.size(); ++i) {
+    EXPECT_EQ(got.input_chunks[i].id, want.input_chunks[i].id);
+    EXPECT_EQ(got.input_chunks[i].offset, want.input_chunks[i].offset);
+    EXPECT_EQ(got.input_chunks[i].shipped, want.input_chunks[i].shipped);
+  }
+  EXPECT_EQ(got.input_fragments, want.input_fragments);
+}
+
+/// Encodes from spans, then checks the frame against the materialized
+/// message: exact size, reference bytes, the encode(msg) wrapper, decode.
+void expect_single_copy_frame(const AssignPieceMsg& fields, const AssignPayloads& payloads) {
+  const Blob frame = encode(fields, payloads);
+  EXPECT_EQ(frame.size(), encoded_size(fields, payloads));
+  EXPECT_EQ(frame.capacity(), frame.size()) << "the frame grew past its computed size";
+
+  AssignPieceMsg materialized = fields;
+  materialized.executable = concat(payloads.executable);
+  materialized.input = concat(payloads.input);
+  materialized.checkpoint.assign(payloads.checkpoint.begin(), payloads.checkpoint.end());
+  EXPECT_EQ(frame, reference_assign_frame(materialized));
+  EXPECT_EQ(frame, encode(materialized));
+  expect_same_assignment(decode_assign_piece(frame), materialized);
+}
+
+TEST(AssignFrame, ExecutableShippedOneFragment) {
+  const FrameSources src;
+  AssignPayloads payloads;
+  payloads.executable.push_back(src.image.bytes);
+  payloads.input.push_back(src.slice(2048, 4096));
+  expect_single_copy_frame(assignment_fields(), payloads);
+}
+
+TEST(AssignFrame, ExecutableCachedNoFragments) {
+  const FrameSources src;
+  expect_single_copy_frame(assignment_fields(), AssignPayloads{});
+}
+
+TEST(AssignFrame, ThreeFragments) {
+  // Failures fragment the pending pool: a slice can concatenate several
+  // non-contiguous ranges, in slice order (not offset order).
+  const FrameSources src;
+  for (const bool exec : {true, false}) {
+    AssignPayloads payloads;
+    if (exec) payloads.executable.push_back(src.image.bytes);
+    payloads.input = {src.slice(40'000, 41'500), src.slice(100, 2'100), src.slice(9'000, 9'001)};
+    expect_single_copy_frame(assignment_fields(), payloads);
+  }
+}
+
+TEST(AssignFrame, AtomicJobWithCheckpoint) {
+  const FrameSources src;
+  const Blob checkpoint = {0x10, 0x27, 0, 0, 0, 0, 0, 0, 0xAB, 0xCD};
+  AssignPayloads payloads;
+  payloads.executable.push_back(src.image.bytes);
+  payloads.input.push_back(src.slice(0, src.input.size()));
+  payloads.checkpoint = checkpoint;
+  expect_single_copy_frame(assignment_fields(JobKind::kAtomic), payloads);
+}
+
+TEST(AssignFrame, ChunkedShippedAndCachedChunks) {
+  // A cache-enabled phone: every grid chunk is listed, only the chunks the
+  // phone lacks ride in the frame, gathered straight from their sources.
+  const FrameSources src;
+  ASSERT_GE(src.image.chunks.size(), 4u);
+  for (const bool exec : {true, false}) {
+    AssignPieceMsg fields = assignment_fields();
+    fields.chunked = true;
+    AssignPayloads payloads;
+    if (exec) {
+      for (std::size_t k = 0; k < src.image.chunks.size(); ++k) {
+        const ChunkRef& ref = src.image.chunks[k];
+        const bool shipped = k % 3 != 1;
+        fields.exec_chunks.push_back({ref.id, ref.offset, shipped});
+        if (shipped) {
+          payloads.executable.push_back(std::span<const std::uint8_t>(src.image.bytes)
+                                            .subspan(ref.offset, chunk_size_of(ref.id)));
+        }
+      }
+    }
+    // Two fragments over input chunks 1-2 and 5; chunk 2 is cached.
+    fields.input_fragments = {{5'000, 11'000}, {20'500, 22'000}};
+    for (const std::size_t k : {1u, 2u, 5u}) {
+      const ChunkRef& ref = src.input_chunks[k];
+      const bool shipped = k != 2;
+      fields.input_chunks.push_back({ref.id, ref.offset, shipped});
+      if (shipped) {
+        payloads.input.push_back(src.slice(ref.offset, ref.offset + chunk_size_of(ref.id)));
+      }
+    }
+    expect_single_copy_frame(fields, payloads);
+  }
+}
+
+TEST(AssignFrame, ChunkedAllCached) {
+  const FrameSources src;
+  AssignPieceMsg fields = assignment_fields();
+  fields.chunked = true;
+  for (const ChunkRef& ref : src.image.chunks) {
+    fields.exec_chunks.push_back({ref.id, ref.offset, false});
+  }
+  fields.input_chunks.push_back({src.input_chunks[0].id, 0, false});
+  fields.input_fragments = {{0, 1'000}};
+  expect_single_copy_frame(fields, AssignPayloads{});
 }
 
 TEST(Protocol, CompleteAndFailedRoundTrip) {

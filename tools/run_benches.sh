@@ -21,7 +21,7 @@ cd "$(dirname "$0")/.."
 REPO_ROOT="$(pwd)"
 RECORD="${REPO_ROOT}/BENCH_scheduler.json"
 MODE="${1:-check}"
-FILTER='BM_Greedy|BM_SinglePacking|BM_PreparedPacking|BM_PrepareProblem|BM_PodBuild|BM_ShipBytesRepeat|BM_KeepAliveHist|BM_TimerWheel|BM_TaskExecute'
+FILTER='BM_Greedy|BM_GreedyBuildLiveSmall|BM_SinglePacking|BM_PreparedPacking|BM_PrepareProblem|BM_PodBuild|BM_ShipBytesRepeat|BM_KeepAliveHist|BM_TimerWheel|BM_TaskExecute|BM_AssignEncode'
 # Older google-benchmark releases reject a unit suffix on min_time.
 MIN_TIME="${CWC_BENCH_MIN_TIME:-0.2}"
 
